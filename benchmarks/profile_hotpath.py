@@ -57,7 +57,7 @@ def classify(filename):
 
 
 WORKLOADS = {
-    "drain": lambda scale: run_drain("run"),
+    "drain": lambda scale: run_drain(),
     "raw": lambda scale: run_raw_dispatch(),
     "fleet": None,  # handled specially (needs the task count)
 }
@@ -133,7 +133,7 @@ def main(argv=None):
 
     selected = {}
     if args.workload in ("all", "drain"):
-        selected["drain"] = lambda: run_drain("run")
+        selected["drain"] = run_drain
     if args.workload in ("all", "raw"):
         selected["raw"] = run_raw_dispatch
     if args.workload in ("all", "fleet"):

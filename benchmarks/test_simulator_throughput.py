@@ -8,10 +8,8 @@ release chain).
 
 The ladder (see docs/PERFORMANCE.md for the methodology):
 
-* **drain / drain_step** -- a pre-scheduled backlog consumed with no
-  further scheduling, via ``Simulator.run`` (the sorted-run drain) and
-  via the legacy per-event ``step()`` API.  The pair is a live
-  before/after of the drain overhaul measured in the same process.
+* **drain** -- a pre-scheduled backlog consumed by ``Simulator.run``
+  with no further scheduling: the event loop in isolation.
 * **raw_dispatch** -- self-rescheduling callback chains: one schedule +
   one fire per event, no kernel, the simulator's scheduling hot path.
 * **fleet N** -- the original kernel workload: N periodic RTAI tasks
@@ -50,16 +48,16 @@ REPEATS = 3
 RESULT_PATH = Path(__file__).resolve().parent.parent \
     / "BENCH_throughput.json"
 
-#: Pre-overhaul (seed, commit 975549e) rates in events/s, measured on
-#: the machine that produced ``benchmarks/baselines/``, best of three.
+#: Pre-overhaul (seed, commit 975549e) rates in events/s, best of
+#: three, measured on the machine that recorded the first throughput
+#: baseline (a faster host than the current baseline's).
 #: Machine-dependent -- the recorded ``speedup_vs_seed`` factors are
 #: only meaningful on comparable hardware, which is why the pytest
-#: assertions below use the same-process ``run`` vs ``step`` pair and
-#: conservative absolute floors instead.  Re-measure per
-#: docs/PERFORMANCE.md when re-baselining.
+#: assertions below use a same-process shape ratio and conservative
+#: absolute floors instead.  Re-measure per docs/PERFORMANCE.md when
+#: re-baselining.
 SEED_RATES = {
     "drain": 252_900.0,
-    "drain_step": 257_500.0,
     "raw_dispatch": 346_500.0,
     "fleet_1": 210_400.0,
     "fleet_10": 149_500.0,
@@ -134,7 +132,7 @@ def run_raw_dispatch():
     }
 
 
-def run_drain(api="run"):
+def run_drain():
     """Drain a pre-scheduled backlog (scheduling cost excluded)."""
     sim = Simulator(seed=1, max_events=10_000_000)
 
@@ -144,15 +142,11 @@ def run_drain(api="run"):
     for when in range(DRAIN_EVENTS):
         sim.schedule_at(when, noop)
     start = time.perf_counter()
-    if api == "run":
-        sim.run()
-    else:
-        while sim.step():
-            pass
+    sim.run()
     elapsed = time.perf_counter() - start
     assert sim.processed_events == DRAIN_EVENTS
     return {
-        "workload": "drain" if api == "run" else "drain_step",
+        "workload": "drain",
         "events": sim.processed_events,
         "wall_s": elapsed,
         "events_per_s": sim.processed_events / elapsed,
@@ -162,8 +156,7 @@ def run_drain(api="run"):
 def run_ladder():
     """Run every workload; return (rows, derived summary)."""
     rows = [
-        _best(lambda: run_drain("run")),
-        _best(lambda: run_drain("step")),
+        _best(run_drain),
         _best(run_raw_dispatch),
     ]
     for count in TASK_COUNTS:
@@ -173,7 +166,6 @@ def run_ladder():
 
     rates = {row["workload"]: row["events_per_s"] for row in rows}
     summary = {
-        "run_vs_step_speedup": rates["drain"] / rates["drain_step"],
         "fleet_overhead_growth":
             rates["fleet_%d" % TASK_COUNTS[0]]
             / rates["fleet_%d" % TASK_COUNTS[-1]],
@@ -197,8 +189,6 @@ def test_simulator_throughput_ladder(benchmark):
         print("%-24s %10d %9.3f %14.0f"
               % (row["workload"], row["events"], row["wall_s"],
                  row["events_per_s"]))
-    print("run vs step drain speedup: %.2fx"
-          % summary["run_vs_step_speedup"])
     for name, factor in sorted(summary["speedup_vs_seed"].items()):
         print("speedup vs seed %-22s %6.2fx" % (name, factor))
 
@@ -215,9 +205,6 @@ def test_simulator_throughput_ladder(benchmark):
     benchmark.extra_info["summary"] = summary
 
     rates = {row["workload"]: row["events_per_s"] for row in rows}
-    # Same-process before/after: the sorted-run drain must beat the
-    # legacy per-event step API decisively.
-    assert summary["run_vs_step_speedup"] > 1.5
     # Per-event overhead must not blow up as the fleet grows.
     assert summary["fleet_overhead_growth"] < 3.0
     # Conservative absolute floors (CI machines vary widely).

@@ -22,9 +22,14 @@ state with zero policy code -- the policy is two declarative rules in
   re-arm logic: hand-absorbed          "clear": {"op": "<=",
   misses after each shed                   "value": 0.005}
 
-Same shedding order, too: ``shed_lowest_priority`` consults the same
-``importance`` property the imperative manager used, so EPG000 goes
-first, then REC000, and the decoder never misses a frame.
+The two paths rank victims differently.  ``ImportanceShedding`` suspends
+the active component with the lowest ``importance`` property, while
+``shed_lowest_priority`` disables the admitted component with the
+largest contract priority *number*
+(``repro.faults.recovery.shed_order_key``).  They pick the same victims
+here only because the box declares both orders consistently
+(importance 10/5/3/1 on priorities 1/2/3/4): EPG000 goes first, then
+REC000, and the decoder never misses a frame.
 
 Because the policy is data, drtlint can audit it before it ever runs:
 

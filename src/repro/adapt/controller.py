@@ -362,6 +362,7 @@ class AdaptationController:
         raise ActionError("unknown action kind %r" % kind)
 
     def _rebalance(self, action):
+        from repro.faults.recovery import shed_order_key
         cluster = self._require_cluster()
         node_name = action.get("node")
         if node_name is None:
@@ -382,8 +383,7 @@ class AdaptationController:
                           if component.name not in moved]
             if not candidates:
                 break
-            victim = max(candidates,
-                         key=lambda c: (c.contract.priority, c.name))
+            victim = max(candidates, key=shed_order_key)
             cluster.migrate(victim.name)
             moved.append(victim.name)
         return "rebalance %s: moved %s" % (node_name,

@@ -54,7 +54,6 @@ from repro.core.descriptor import ComponentDescriptor
 from repro.core.lifecycle import ComponentState
 from repro.core.snapshot import restore_entries
 from repro.faults.recovery import BackoffPolicy
-from repro.lint.diagnostics import Severity
 from repro.rtos.kernel import KernelConfig
 from repro.sim.engine import MSEC, Simulator
 
@@ -132,8 +131,10 @@ class PlanGuard:
     counter per reported code (``docs/OBSERVABILITY.md``).
     """
 
-    def __init__(self, cluster, fail_on=Severity.ERROR,
-                 families=None):
+    def __init__(self, cluster, fail_on="error", families=None):
+        # Lazy, like _lint: cluster never requires repro.lint at import
+        # time (docs/ARCHITECTURE.md layering rule 8).
+        from repro.lint.diagnostics import Severity
         self.cluster = cluster
         self.fail_on = Severity.parse(fail_on) \
             if isinstance(fail_on, str) else fail_on
@@ -437,8 +438,7 @@ class Cluster:
             plan["rules"] = list(rules)
         return plan
 
-    def install_plan_guard(self, fail_on=Severity.ERROR,
-                           families=None):
+    def install_plan_guard(self, fail_on="error", families=None):
         """Arm the :class:`PlanGuard` pre-deploy gate.
 
         From then on :meth:`deploy` / :meth:`deploy_application` lint

@@ -32,6 +32,7 @@ from repro.faults.recovery import (
     GracefulDegradationService,
     QuarantinePolicy,
     shed_lowest_priority,
+    shed_order_key,
 )
 
 __all__ = [
@@ -48,4 +49,5 @@ __all__ = [
     "example_plan",
     "load_plan",
     "shed_lowest_priority",
+    "shed_order_key",
 ]

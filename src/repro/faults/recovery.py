@@ -104,13 +104,15 @@ class QuarantinePolicy:
             self.cooldown_ns, self.max_failures)
 
 
-def _importance_key(component):
-    """Sort key: largest = least important (shed first).
+def shed_order_key(component):
+    """The platform's one victim order: largest = least important.
 
     Lower priority *number* means higher importance, so the
     least-important admitted component is the max of
     ``(priority, name)``; the name tie-break keeps shedding
-    deterministic.
+    deterministic.  The declarative ``shed_lowest_priority`` and
+    ``rebalance`` actions and :class:`GracefulDegradationService` all
+    pick their victims with it.
     """
     return (component.contract.priority, component.name)
 
@@ -127,7 +129,7 @@ def shed_lowest_priority(drcr, cpu=None):
                   if cpu is None or component.contract.cpu == cpu]
     if not candidates:
         return None
-    victim = max(candidates, key=_importance_key)
+    victim = max(candidates, key=shed_order_key)
     drcr.disable_component(victim.name)
     return victim.name
 
@@ -175,7 +177,7 @@ class GracefulDegradationService(ResolvingService):
         if total <= self.cap:
             return Decision.yes("cpu %d within budget" % cpu)
         victims = set()
-        remaining = sorted(admitted, key=_importance_key)
+        remaining = sorted(admitted, key=shed_order_key)
         while remaining and total > self.cap:
             victim = remaining.pop()  # least important last
             victims.add(victim.name)

@@ -4,9 +4,10 @@ This package provides the deterministic, nanosecond-resolution simulation
 substrate on which the RTAI-like real-time kernel (:mod:`repro.rtos`) runs.
 It contains:
 
-* :class:`~repro.sim.engine.Simulator` -- the event loop,
-* :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventQueue`
-  -- cancellable scheduled callbacks ordered by (time, priority, sequence),
+* :class:`~repro.sim.engine.Simulator` -- the event loop and the event
+  heap it drains,
+* :class:`~repro.sim.events.Event` -- cancellable scheduled callbacks
+  ordered by (time, priority, sequence),
 * :class:`~repro.sim.rng.RandomStreams` -- named, independently seeded
   random streams so that adding a new source of randomness never perturbs
   existing ones,
@@ -18,14 +19,13 @@ It contains:
 
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError, SchedulingInPastError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import RunningStats, SampleSeries, summarize
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Event",
-    "EventQueue",
     "RandomStreams",
     "RunningStats",
     "SampleSeries",

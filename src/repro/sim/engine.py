@@ -6,27 +6,19 @@ Table 1 is in nanoseconds) and avoids floating-point drift in long runs.
 
 Performance notes (see docs/PERFORMANCE.md)
 -------------------------------------------
-:meth:`Simulator.run` drains events as a **sorted run**: at window
-start the whole backlog is lifted out of the queue and sorted once
-(Timsort over C-compared tuples), then consumed by a plain cursor --
-O(1) per event instead of an O(log n) ``heappop`` against a large
-heap.  Events scheduled *during* the window land in a fresh (small)
-side heap; each iteration takes whichever of cursor-head and heap-head
-is earlier with a single tuple comparison, so the fired order is
-identical to the seed's pop-per-event order -- ``seq`` strictly
-increases, ties resolve FIFO.  The loop also folds the per-event
-``sim.events_total`` increment into one batched add per run window.
-The scheduling entry points (:meth:`schedule`, :meth:`schedule_at`,
-:meth:`schedule_interrupt`, :meth:`call_soon`) delegate to one shared
-``_push`` that builds the heap entry and the :class:`Event` record
-inline -- two frames per scheduled event where the seed chained
-through ``schedule_at`` + ``EventQueue.push`` + ``Event.__init__``.
-:meth:`step` keeps the original one-event-at-a-time contract for
-callers that need it; both paths fire events in the identical
-``(time, priority, seq)`` order.
+The simulator owns the event heap: a list of ``(when, priority, seq,
+event)`` tuples (see :mod:`repro.sim.events`), its sequence counter and
+its live-event count.  :meth:`Simulator.run` is one peek/``heappop``
+loop over that heap -- bound check, skip cancelled entries, fire -- and
+folds the per-event ``sim.events_total`` increment into one batched add
+per run window.  The scheduling entry points (:meth:`schedule`,
+:meth:`schedule_at`, :meth:`schedule_interrupt`, :meth:`call_soon`)
+delegate to one shared ``_push`` that builds the heap entry and the
+:class:`Event` record inline.  :meth:`step` fires one event off the
+same heap; both paths fire events in the identical ``(time, priority,
+seq)`` order.
 """
 
-from heapq import heapify as _heapify
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
 
@@ -36,13 +28,12 @@ from repro.sim.events import (
     PRIORITY_LATE,
     PRIORITY_NORMAL,
     Event,
-    EventQueue,
 )
-
-_new_event = Event.__new__
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecorder
 from repro.telemetry.metrics import Telemetry
+
+_new_event = Event.__new__
 
 #: One microsecond / millisecond / second in simulation ticks.
 USEC = 1000
@@ -72,7 +63,11 @@ class Simulator:
 
     def __init__(self, seed=0, max_events=50_000_000, telemetry=None):
         self._now = 0
-        self._queue = EventQueue()
+        # Heap of (when, priority, seq, event) tuples; cancelled events
+        # stay in it until they reach the head.
+        self._heap = []
+        self._seq = 0
+        self._live = 0
         self._rng = RandomStreams(seed)
         self._trace = TraceRecorder()
         self._max_events = max_events
@@ -111,7 +106,7 @@ class Simulator:
     @property
     def pending_events(self):
         """Number of live (not cancelled, not fired) events."""
-        return len(self._queue)
+        return self._live
 
     @property
     def processed_events(self):
@@ -121,12 +116,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    # Each entry point builds its heap entry inline (single frame, no
-    # ``push`` delegation) -- see the module performance notes.
+    # Each entry point builds its heap entry inline (single frame) --
+    # see the module performance notes.
     def _push(self, when, priority, callback, args, label):
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
+        seq = self._seq
+        self._seq = seq + 1
         event = _new_event(Event)
         event.when = when
         event.priority = priority
@@ -134,11 +128,11 @@ class Simulator:
         event.callback = callback
         event.args = args
         event.label = label
-        event._queue = queue
+        event._sim = self
         event._cancelled = False
         event._fired = False
-        _heappush(queue._heap, (when, priority, seq, event))
-        queue._live += 1
+        _heappush(self._heap, (when, priority, seq, event))
+        self._live += 1
         return event
 
     def schedule(self, delay, callback, *args, priority=PRIORITY_NORMAL,
@@ -173,22 +167,26 @@ class Simulator:
     def step(self):
         """Fire the single earliest event.
 
-        Returns ``True`` if an event fired, ``False`` if the queue was
-        empty.
+        Returns ``True`` if an event fired, ``False`` if no live event
+        was pending.
         """
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.when
-        event._fired = True
-        self._processed += 1
-        self._m_events.inc()
-        if self._processed > self._max_events:
-            raise SimulationLimitError(
-                "exceeded max_events=%d at t=%d ns" %
-                (self._max_events, self._now))
-        event.callback(*event.args)
-        return True
+        heap = self._heap
+        while heap:
+            when, _priority, _seq, event = _heappop(heap)
+            if event._cancelled:
+                continue
+            self._live -= 1
+            self._now = when
+            event._fired = True
+            self._processed += 1
+            self._m_events.inc()
+            if self._processed > self._max_events:
+                raise SimulationLimitError(
+                    "exceeded max_events=%d at t=%d ns" %
+                    (self._max_events, self._now))
+            event.callback(*event.args)
+            return True
+        return False
 
     def run(self, until=None):
         """Run until the queue drains or time reaches ``until`` (ns).
@@ -199,46 +197,23 @@ class Simulator:
         """
         self._running = True
         self._m_windows.inc()
-        # Hot loop: sorted-run drain (module performance notes).  The
-        # backlog is sorted once and consumed by cursor; events pushed
-        # during the window go to a fresh side heap and are merged in
-        # order with one tuple comparison per event.  Heap entries are
-        # (when, priority, seq, event) tuples -- see repro.sim.events.
-        queue = self._queue
-        epoch = queue._epoch
-        backlog = queue._heap
-        backlog.sort()
-        queue._heap = heap = []
-        cursor = 0
-        n_backlog = len(backlog)
+        # Hot loop (module performance notes).  reset() clears the heap
+        # in place, so a reset from inside a callback ends the loop.
+        heap = self._heap
         heappop = _heappop
         bound = float("inf") if until is None else until
         max_events = self._max_events
         fired = 0
         try:
-            while self._running:
-                if cursor < n_backlog:
-                    entry = backlog[cursor]
-                    if heap and heap[0] < entry:
-                        entry = heap[0]
-                        if entry[0] > bound:
-                            break
-                        heappop(heap)
-                    else:
-                        if entry[0] > bound:
-                            break
-                        cursor += 1
-                elif heap:
-                    entry = heap[0]
-                    if entry[0] > bound:
-                        break
-                    heappop(heap)
-                else:
+            while self._running and heap:
+                entry = heap[0]
+                if entry[0] > bound:
                     break
+                heappop(heap)
                 event = entry[3]
                 if event._cancelled:
                     continue
-                queue._live -= 1
+                self._live -= 1
                 self._now = entry[0]
                 event._fired = True
                 fired += 1
@@ -250,24 +225,9 @@ class Simulator:
                 event.callback(*event.args)
         finally:
             self._running = False
-            if queue._epoch == epoch:
-                # Fold the unfired backlog tail back into the queue.
-                if cursor < n_backlog:
-                    if cursor:
-                        del backlog[:cursor]
-                    if heap:
-                        backlog.extend(heap)
-                        _heapify(backlog)
-                    queue._heap = backlog
-            else:
-                # reset() ran inside a callback: the queue was cleared
-                # while we held the backlog, so drop the tail the same
-                # way clear() would have.
-                for index in range(cursor, n_backlog):
-                    backlog[index][3]._queue = None
             if fired:
                 self._m_events.inc(fired)
-            self._m_pending.set(queue._live)
+            self._m_pending.set(self._live)
         if until is not None and until > self._now:
             self._now = until
         return self._now
@@ -287,9 +247,12 @@ class Simulator:
         Random streams are *not* reseeded; build a fresh simulator for a
         statistically independent run.
         """
-        self._queue.clear()
+        for entry in self._heap:
+            entry[3]._sim = None
+        self._heap.clear()
+        self._live = 0
         self._trace.clear()
         self._now = 0
         self._processed = 0
         self._running = False
-        self._m_pending.set(len(self._queue))
+        self._m_pending.set(0)

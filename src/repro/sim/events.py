@@ -1,4 +1,4 @@
-"""Cancellable events and the time-ordered event queue.
+"""Cancellable scheduled events.
 
 Events are ordered by ``(time, priority, sequence)``.  The sequence number
 makes ordering of same-time, same-priority events deterministic (FIFO in
@@ -7,20 +7,17 @@ given seed.
 
 Performance notes (see docs/PERFORMANCE.md)
 -------------------------------------------
-The heap stores ``(when, priority, seq, event)`` **tuples**, not the
-:class:`Event` objects themselves.  Tuple comparison is a single C-level
-operation, whereas comparing ``Event`` objects calls ``__lt__`` (and a
-key-building helper) in Python for every sift step -- which profiling
-showed was the single largest cost of the whole simulator (~1.7 million
-``_sort_key`` calls for a 90k-event run).  ``seq`` is unique, so the
-comparison never reaches the trailing event object, and the event class
-needs no ordering methods at all on the hot path.  The tuple layout is
-part of the internal contract with :meth:`repro.sim.engine.Simulator.run`,
-which drains the heap in place instead of paying ``peek``/``pop`` method
-pairs per event.
+The simulator's heap stores ``(when, priority, seq, event)`` **tuples**,
+not the :class:`Event` objects themselves.  Tuple comparison is a single
+C-level operation, whereas comparing ``Event`` objects would call
+``__lt__`` in Python for every sift step -- which profiling showed was
+the single largest cost of the whole simulator.  ``seq`` is unique, so
+the comparison never reaches the trailing event object, and the event
+class needs no ordering methods at all.  The heap, the sequence counter
+and the live count belong to :class:`repro.sim.engine.Simulator`; an
+event keeps a back-reference to its simulator only so that cancelling
+it can keep that live count exact.
 """
-
-from heapq import heappop, heappush
 
 from repro.sim.errors import EventAlreadyCancelledError
 
@@ -36,24 +33,16 @@ PRIORITY_LATE = 1000
 class Event:
     """A scheduled callback.
 
-    Instances are created by :meth:`repro.sim.engine.Simulator.schedule`;
-    user code only cancels them or inspects their state.
+    Instances are created by :meth:`repro.sim.engine.Simulator.schedule`
+    and its siblings; user code only cancels them or inspects their
+    state.  Cancelled events stay in the simulator's heap and are
+    skipped when they reach its head (lazy deletion), which keeps
+    :meth:`cancel` cheap for the very frequent "cancel pending
+    preemption/completion" pattern in the RT kernel.
     """
 
     __slots__ = ("when", "priority", "seq", "callback", "args", "label",
-                 "_queue", "_cancelled", "_fired")
-
-    def __init__(self, when, priority, seq, callback, args=(), label="",
-                 queue=None):
-        self.when = when
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.label = label
-        self._queue = queue
-        self._cancelled = False
-        self._fired = False
+                 "_sim", "_cancelled", "_fired")
 
     @property
     def cancelled(self):
@@ -76,7 +65,7 @@ class Event:
         Cancelling an event that already fired or was already cancelled
         raises :class:`EventAlreadyCancelledError`; silently ignoring the
         second cancel would hide lifecycle bugs in the kernel code built on
-        top of this queue.
+        top of the simulator.
         """
         if self._cancelled or self._fired:
             raise EventAlreadyCancelledError(
@@ -93,110 +82,11 @@ class Event:
 
     def _mark_cancelled(self):
         self._cancelled = True
-        if self._queue is not None:
-            self._queue._live -= 1
-
-    def _sort_key(self):
-        return (self.when, self.priority, self.seq)
-
-    def __lt__(self, other):
-        # Not used by the queue (the heap compares tuples); kept so
-        # explicitly sorting Event collections in tests keeps working.
-        return (self.when, self.priority, self.seq) < \
-            (other.when, other.priority, other.seq)
+        if self._sim is not None:
+            self._sim._live -= 1
 
     def __repr__(self):
         state = ("cancelled" if self._cancelled
                  else "fired" if self._fired else "pending")
         return "Event(t=%d, prio=%d, label=%r, %s)" % (
             self.when, self.priority, self.label, state)
-
-
-class EventQueue:
-    """Min-heap of ``(when, priority, seq, event)`` tuples, lazy deletion.
-
-    Cancelled events stay in the heap and are skipped on pop; this is the
-    standard O(log n) cancellation strategy and keeps `cancel` cheap for
-    the very frequent "cancel pending preemption/completion" pattern in the
-    RT kernel.
-    """
-
-    __slots__ = ("_heap", "_seq", "_live", "_epoch")
-
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-        self._live = 0
-        # Bumped by clear(); lets an in-flight run() window detect a
-        # reset and discard its drained-but-unfired backlog.
-        self._epoch = 0
-
-    def __len__(self):
-        return self._live
-
-    def __bool__(self):
-        return self._live > 0
-
-    def push(self, when, callback, args=(), priority=PRIORITY_NORMAL,
-             label=""):
-        """Create, enqueue and return a new :class:`Event`."""
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(when, priority, seq, callback, args, label,
-                      queue=self)
-        heappush(self._heap, (when, priority, seq, event))
-        self._live += 1
-        return event
-
-    def push_batch(self, entries):
-        """Enqueue many ``(when, callback, args, priority, label)`` rows.
-
-        Returns the created events in input order.  Batching amortizes the
-        attribute lookups of :meth:`push`; bulk schedule paths (fleet
-        construction, fault plans) use it to keep per-event setup cost off
-        the measured window.
-        """
-        heap = self._heap
-        seq = self._seq
-        events = []
-        append = events.append
-        for when, callback, args, priority, label in entries:
-            event = Event(when, priority, seq, callback, args, label,
-                          queue=self)
-            heappush(heap, (when, priority, seq, event))
-            seq += 1
-            append(event)
-        self._seq = seq
-        self._live += len(events)
-        return events
-
-    def pop(self):
-        """Remove and return the earliest live event.
-
-        Returns ``None`` when the queue holds no live events.
-        """
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            if event._cancelled:
-                continue
-            self._live -= 1
-            return event
-        return None
-
-    def peek_time(self):
-        """Return the timestamp of the earliest live event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0][3]._cancelled:
-            heappop(heap)
-        if heap:
-            return heap[0][0]
-        return None
-
-    def clear(self):
-        """Drop every event (used for simulator reset)."""
-        for entry in self._heap:
-            entry[3]._queue = None
-        self._heap.clear()
-        self._live = 0
-        self._epoch += 1

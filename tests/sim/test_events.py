@@ -1,13 +1,13 @@
-"""Unit tests for the event queue."""
+"""Unit tests for scheduled events and the simulator's event queue."""
 
 import pytest
 
+from repro.sim.engine import Simulator
 from repro.sim.errors import EventAlreadyCancelledError
 from repro.sim.events import (
     PRIORITY_INTERRUPT,
     PRIORITY_LATE,
     PRIORITY_NORMAL,
-    EventQueue,
 )
 
 
@@ -15,100 +15,171 @@ def _noop():
     pass
 
 
+def _recorder(sim):
+    """Schedule-at helper whose events append their label when fired."""
+    fired = []
+
+    def at(when, label, **kwargs):
+        return sim.schedule_at(when, fired.append, label, label=label,
+                               **kwargs)
+
+    return at, fired
+
+
 class TestEventQueueOrdering:
     def test_pops_in_time_order(self):
-        q = EventQueue()
-        q.push(30, _noop, label="c")
-        q.push(10, _noop, label="a")
-        q.push(20, _noop, label="b")
-        assert [q.pop().label for _ in range(3)] == ["a", "b", "c"]
+        sim = Simulator()
+        at, fired = _recorder(sim)
+        at(30, "c")
+        at(10, "a")
+        at(20, "b")
+        while sim.step():
+            pass
+        assert fired == ["a", "b", "c"]
 
     def test_same_time_orders_by_priority(self):
-        q = EventQueue()
-        q.push(10, _noop, priority=PRIORITY_LATE, label="late")
-        q.push(10, _noop, priority=PRIORITY_INTERRUPT, label="irq")
-        q.push(10, _noop, priority=PRIORITY_NORMAL, label="normal")
-        assert [q.pop().label for _ in range(3)] == ["irq", "normal",
-                                                     "late"]
+        sim = Simulator()
+        at, fired = _recorder(sim)
+        at(10, "late", priority=PRIORITY_LATE)
+        at(10, "irq", priority=PRIORITY_INTERRUPT)
+        at(10, "normal", priority=PRIORITY_NORMAL)
+        while sim.step():
+            pass
+        assert fired == ["irq", "normal", "late"]
 
     def test_same_time_same_priority_is_fifo(self):
-        q = EventQueue()
+        sim = Simulator()
+        at, fired = _recorder(sim)
         for i in range(5):
-            q.push(10, _noop, label=str(i))
-        assert [q.pop().label for _ in range(5)] == list("01234")
+            at(10, str(i))
+        while sim.step():
+            pass
+        assert fired == list("01234")
 
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
-
-    def test_peek_time_reports_earliest_live(self):
-        q = EventQueue()
-        early = q.push(5, _noop)
-        q.push(10, _noop)
-        assert q.peek_time() == 5
-        early.cancel()
-        assert q.peek_time() == 10
+        # Popping an empty queue is step() on a simulator with no events:
+        # nothing fires and the clock stays put.
+        sim = Simulator()
+        assert sim.step() is False
+        assert sim.now == 0 and sim.processed_events == 0
 
     def test_peek_time_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+        # A queue holding only a cancelled entry has no earliest live
+        # event: nothing is pending, step() fires nothing, and run()
+        # leaves the clock where it was.
+        sim = Simulator()
+        sim.schedule_at(5, _noop).cancel()
+        assert sim.pending_events == 0
+        assert sim.step() is False
+        assert sim.run() == 0
+        assert sim.now == 0 and sim.processed_events == 0
+
+    def test_step_fires_earliest_live_event(self):
+        sim = Simulator()
+        early = sim.schedule_at(5, _noop)
+        sim.schedule_at(10, _noop)
+        early.cancel()
+        assert sim.step() is True
+        assert sim.now == 10
 
 
 class TestEventCancellation:
     def test_cancelled_event_is_skipped(self):
-        q = EventQueue()
-        keep = q.push(10, _noop, label="keep")
-        drop = q.push(5, _noop, label="drop")
-        drop.cancel()
-        assert q.pop() is keep
+        sim = Simulator()
+        at, fired = _recorder(sim)
+        at(10, "keep")
+        at(5, "drop").cancel()
+        sim.run()
+        assert fired == ["keep"]
+        assert sim.processed_events == 1
 
     def test_len_counts_live_events_only(self):
-        q = EventQueue()
-        events = [q.push(i, _noop) for i in range(4)]
-        assert len(q) == 4
+        sim = Simulator()
+        events = [sim.schedule_at(i, _noop) for i in range(4)]
+        assert sim.pending_events == 4
         events[0].cancel()
         events[2].cancel()
-        assert len(q) == 2
+        assert sim.pending_events == 2
+        sim.step()
+        assert sim.pending_events == 1
 
     def test_double_cancel_raises(self):
-        q = EventQueue()
-        event = q.push(1, _noop)
+        sim = Simulator()
+        event = sim.schedule_at(1, _noop)
         event.cancel()
         with pytest.raises(EventAlreadyCancelledError):
             event.cancel()
 
     def test_cancel_if_pending_is_idempotent(self):
-        q = EventQueue()
-        event = q.push(1, _noop)
+        sim = Simulator()
+        event = sim.schedule_at(1, _noop)
         assert event.cancel_if_pending() is True
         assert event.cancel_if_pending() is False
-        assert len(q) == 0
+        assert sim.pending_events == 0
 
     def test_cancel_fired_event_raises(self):
-        q = EventQueue()
-        event = q.push(1, _noop)
-        popped = q.pop()
-        popped._fired = True
+        sim = Simulator()
+        event = sim.schedule_at(1, _noop)
+        assert sim.step()
+        assert event.fired
         with pytest.raises(EventAlreadyCancelledError):
             event.cancel()
+        assert sim.pending_events == 0
 
     def test_state_properties(self):
-        q = EventQueue()
-        event = q.push(1, _noop)
+        sim = Simulator()
+        event = sim.schedule_at(1, _noop)
         assert event.pending and not event.cancelled and not event.fired
         event.cancel()
-        assert event.cancelled and not event.pending
+        assert event.cancelled and not event.pending and not event.fired
+        fired = sim.schedule_at(2, _noop)
+        sim.run()
+        assert fired.fired and not fired.pending and not fired.cancelled
 
     def test_clear_empties_queue(self):
-        q = EventQueue()
+        sim = Simulator()
         for i in range(3):
-            q.push(i, _noop)
-        q.clear()
-        assert len(q) == 0
-        assert q.pop() is None
+            sim.schedule_at(i, _noop)
+        sim.reset()
+        assert sim.pending_events == 0
+        assert sim.step() is False
 
     def test_bool_reflects_liveness(self):
-        q = EventQueue()
-        assert not q
-        event = q.push(1, _noop)
-        assert q
+        sim = Simulator()
+        assert not sim.pending_events
+        event = sim.schedule_at(1, _noop)
+        assert sim.pending_events
         event.cancel()
-        assert not q
+        assert not sim.pending_events
+
+
+class TestCancelAfterReset:
+    """An event that outlived a reset() must not touch the live count."""
+
+    def test_cancel_after_plain_reset(self):
+        sim = Simulator()
+        stale = [sim.schedule_at(i, _noop) for i in range(3)]
+        sim.reset()
+        for event in stale:
+            event.cancel()
+        assert sim.pending_events == 0
+        sim.schedule_at(1, _noop)
+        assert sim.pending_events == 1
+
+    def test_cancel_after_reset_inside_run(self):
+        sim = Simulator()
+        stale = []
+
+        def resetter():
+            sim.reset()
+            stale[0].cancel()
+
+        sim.schedule_at(5, resetter)
+        stale.extend(sim.schedule_at(when, _noop) for when in (10, 20))
+        sim.run()
+        stale[1].cancel()
+        assert sim.pending_events == 0
+        assert sim.processed_events == 0
+        assert not any(event.fired for event in stale)
+        sim.schedule_at(1, _noop)
+        assert sim.pending_events == 1

@@ -1,12 +1,11 @@
-"""Regression tests: firing order through the sorted-run drain.
+"""Regression tests: firing order through ``Simulator.run``.
 
-``Simulator.run`` no longer pops the heap one event at a time -- it
-lifts the backlog out, sorts it once, and consumes it through a cursor
-while mid-run pushes go to a fresh side heap (see the engine module
-docstring).  The FIFO contract must survive that batching: events at
-the same ``(time, priority)`` fire in schedule order, whether they
-were in the pre-run backlog, pushed mid-run, or a mix of both, and the
-drain must fire exactly the order the legacy per-event ``step()`` API
+``run`` and ``step`` drain the same heap of ``(when, priority, seq,
+event)`` entries (see the engine module docstring).  The FIFO contract
+must hold however the events got there: events at the same ``(time,
+priority)`` fire in schedule order, whether they were scheduled before
+the run (the backlog), pushed mid-run by a callback, or a mix of both,
+and ``run`` must fire exactly the order the one-event ``step()`` API
 would.
 """
 
@@ -40,7 +39,7 @@ class TestBacklogFifo:
 
     def test_interleaved_times_sort_stably(self):
         # Schedule out of time order; same-time events keep their
-        # relative schedule order after the one-shot backlog sort.
+        # relative schedule order.
         sim = Simulator(seed=1)
         fired = []
         for index, when in enumerate([30, 10, 30, 10, 20, 10]):
@@ -55,8 +54,7 @@ class TestMidRunFifo:
         # A callback schedules more work for the *same* timestamp the
         # drain is currently consuming.  The mid-run event has a later
         # sequence number than every backlog event at that timestamp,
-        # so FIFO says it fires after them -- the cursor/side-heap tie
-        # compare must agree.
+        # so FIFO says it fires after them.
         sim = Simulator(seed=1)
         fired = []
 
@@ -86,10 +84,9 @@ class TestMidRunFifo:
         assert fired == ["spawner", "irq", "backlog"]
 
     def test_run_matches_step_order_exactly(self):
-        # Differential check: the batched drain and the legacy
-        # per-event step() must fire the identical sequence for a
-        # workload mixing backlog ties, mid-run pushes and the three
-        # priority bands.
+        # Differential check: run() and the one-event step() must
+        # fire the identical sequence for a workload mixing backlog
+        # ties, mid-run pushes and the three priority bands.
         def build(record):
             sim = Simulator(seed=1)
 

@@ -108,6 +108,31 @@ def _group_entries(entries, applications):
     return list(groups.values()) + singles
 
 
+def _candidate_plan(baseline, descriptor_xmls, node, application=None,
+                    members=None):
+    """``baseline`` plus ``descriptor_xmls`` homed on ``node``.
+
+    A new plan document that shares everything it does not change
+    with ``baseline``: only the target node's ``components`` list and
+    (for an application deployment) the ``applications`` map are
+    copied, so ``baseline`` itself stays as it was."""
+    candidate = dict(baseline)
+    deployments = candidate["deployments"] = list(baseline["deployments"])
+    for index, deployment in enumerate(deployments):
+        if deployment["node"] == node:
+            target = deployments[index] = dict(deployment)
+            target["components"] = list(deployment["components"])
+            break
+    else:
+        target = {"node": node, "components": []}
+        deployments.append(target)
+    target["components"].extend({"xml": xml} for xml in descriptor_xmls)
+    if application is not None and members is not None:
+        candidate["applications"] = dict(baseline["applications"])
+        candidate["applications"][application] = list(members)
+    return candidate
+
+
 class PlanGuard:
     """Pre-deploy gate: lint the fleet's would-be plan first.
 
@@ -125,6 +150,13 @@ class PlanGuard:
     :meth:`note_failover` runs an advisory lint of the post-failover
     plan and records what it finds.
 
+    The guard owns one :class:`~repro.lint.deployment.PlanLintCache`,
+    rotated at the start of every check, so a check re-parses and
+    re-lints only the node units the deployment (or whatever changed
+    the fleet since the last check) touched; the topology checks still
+    run on the whole plan, and every verdict is what a cache-free lint
+    of the same documents gives.
+
     Telemetry lands in the ``lint`` registry:
     ``plan_checks_total``, ``plan_rejections_total``,
     ``plan_failover_checks_total`` and one ``plan_code.<code>``
@@ -134,11 +166,13 @@ class PlanGuard:
     def __init__(self, cluster, fail_on="error", families=None):
         # Lazy, like _lint: cluster never requires repro.lint at import
         # time (docs/ARCHITECTURE.md layering rule 8).
+        from repro.lint.deployment import PlanLintCache
         from repro.lint.diagnostics import Severity
         self.cluster = cluster
         self.fail_on = Severity.parse(fail_on) \
             if isinstance(fail_on, str) else fail_on
         self.families = tuple(families) if families else None
+        self.cache = PlanLintCache()
         metrics = cluster.sim.telemetry.registry("lint")
         self._metrics = metrics
         self._m_checks = metrics.counter("plan_checks_total")
@@ -148,11 +182,10 @@ class PlanGuard:
 
     def _lint(self, document):
         # Lazy: repro.lint.engine transitively imports this package.
-        from repro.lint.engine import lint_plan
-        if self.families is None:
-            return lint_plan(document, location="<plan-guard>")
+        from repro.lint.engine import FAMILIES, lint_plan
         return lint_plan(document, location="<plan-guard>",
-                         families=self.families)
+                         families=self.families or FAMILIES,
+                         cache=self.cache)
 
     @staticmethod
     def _fingerprints(result):
@@ -168,20 +201,11 @@ class PlanGuard:
         findings at or above ``fail_on`` that the baseline does not
         already carry.  Empty list = the deployment may proceed."""
         self._m_checks.inc()
-        baseline = self._lint(self.cluster.export_plan())
-        candidate = self.cluster.export_plan()
-        for deployment in candidate["deployments"]:
-            if deployment["node"] == node:
-                target = deployment
-                break
-        else:
-            target = {"node": node, "components": []}
-            candidate["deployments"].append(target)
-        target["components"].extend(
-            {"xml": xml} for xml in descriptor_xmls)
-        if application is not None and members is not None:
-            candidate["applications"][application] = list(members)
-        result = self._lint(candidate)
+        self.cache.rotate()
+        document = self.cluster.export_plan()
+        baseline = self._lint(document)
+        result = self._lint(_candidate_plan(
+            document, descriptor_xmls, node, application, members))
         known = self._fingerprints(baseline)
         new = [diagnostic
                for diagnostic in result.at_or_above(self.fail_on)
@@ -202,6 +226,7 @@ class PlanGuard:
         telemetry (and the returned findings) say whether the fleet
         is still one crash away from stranding work."""
         self._m_failover_checks.inc()
+        self.cache.rotate()
         result = self._lint(self.cluster.export_plan())
         findings = result.at_or_above(self.fail_on)
         for diagnostic in findings:

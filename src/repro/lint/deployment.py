@@ -180,6 +180,67 @@ class DeploymentPlan:
         return self.links.get((src, dst), self.default_link)
 
 
+class PlanLintCache:
+    """Two-generation memo for linting a plan that changes a little.
+
+    Holds parsed descriptors keyed by their XML text, and each node
+    unit's contract/wiring/admission diagnostics keyed by
+    ``(families, ((location, xml), ...))``.  Both are pure functions
+    of their key, so an entry is never stale and nothing needs
+    invalidating: a changed node simply misses.  :meth:`rotate` starts
+    a new generation; a hit in the previous one moves forward, so the
+    cache holds at most what the last two generations used.  Cached
+    descriptors are shared between plans: the checks only read them.
+    """
+
+    __slots__ = ("_current", "_previous")
+
+    def __init__(self):
+        # One memo for both kinds: descriptor keys are strings, unit
+        # keys are tuples, so they never collide.
+        self._current = {}
+        self._previous = {}
+
+    def rotate(self):
+        """Start a generation; drop what the one before last used."""
+        self._previous = self._current
+        self._current = {}
+
+    def __len__(self):
+        return len(self._current) + len(self._previous)
+
+    def _lookup(self, key, compute):
+        value = self._current.get(key)
+        if value is None:
+            value = self._previous.pop(key, None)
+            if value is None:
+                value = compute(key)
+            self._current[key] = value
+        return value
+
+    def parse(self, text):
+        """``(descriptor, None)`` or ``(None, parse error message)``."""
+        return self._lookup(text, _parse_descriptor)
+
+    def unit_diagnostics(self, unit, families):
+        """``lint_descriptor_texts(unit, families)``, memoised."""
+        return self._lookup((families, tuple(unit)), _lint_unit)
+
+
+def _parse_descriptor(text):
+    try:
+        return ComponentDescriptor.from_xml(text), None
+    except DRComError as error:
+        return None, str(error)
+
+
+def _lint_unit(key):
+    # Local import: the engine imports this module at load time.
+    from repro.lint.engine import lint_descriptor_texts
+    families, unit = key
+    return lint_descriptor_texts(unit, families)
+
+
 def _parse_link(data, where, problems):
     """A :class:`LinkSpec` from plan JSON, or None (problem noted)."""
     if not isinstance(data, dict):
@@ -264,7 +325,7 @@ def _read_source(source, base_dir, plan_location, where, problems):
         return None
 
 
-def _parse_deployments(document, plan, base_dir, problems):
+def _parse_deployments(document, plan, base_dir, problems, parse):
     deployments = document.get("deployments", [])
     if deployments is None:
         deployments = []
@@ -303,14 +364,12 @@ def _parse_deployments(document, plan, base_dir, problems):
                     "%s.components[%d] must be a descriptor path or "
                     "an {\"xml\": ...} object" % (where, cindex))
                 continue
-            try:
-                descriptor = ComponentDescriptor.from_xml(text)
-            except DRComError as error:
+            descriptor, error = parse(text)
+            if error is not None:
                 problems.append(
                     "%s: descriptor at %s fails to parse and is "
                     "excluded from the plan analysis: %s"
                     % (where, comp_location, error))
-                descriptor = None
             if descriptor is not None:
                 other = homes.get(descriptor.name)
                 if other is not None and other != node_name:
@@ -373,13 +432,14 @@ def _parse_rules(document, plan, base_dir, problems):
                 "object" % where)
 
 
-def parse_plan(document, location="<plan>", base_dir=None):
+def parse_plan(document, location="<plan>", base_dir=None, cache=None):
     """Parse a plan document into a :class:`DeploymentPlan`.
 
     Returns ``(plan, problems)`` -- ``problems`` is a list of strings,
     each becoming one DRT600.  Parsing is tolerant: whatever validates
     is kept, so the topology checks still run on the healthy part of
-    a partially broken plan.
+    a partially broken plan.  A :class:`PlanLintCache` reuses the
+    descriptors parsed from the same XML text before.
     """
     problems = []
     plan = DeploymentPlan(location)
@@ -432,7 +492,9 @@ def parse_plan(document, location="<plan>", base_dir=None):
                          ", ".join(sorted(endpoints))))
             continue
         plan.links[(src, dst)] = link
-    _parse_deployments(document, plan, base_dir, problems)
+    _parse_deployments(document, plan, base_dir, problems,
+                       _parse_descriptor if cache is None
+                       else cache.parse)
     _parse_applications(document, plan, problems)
     _parse_rules(document, plan, base_dir, problems)
     return plan, problems
@@ -767,20 +829,25 @@ def check_plan(plan):
 # entry points (the engine and the PlanGuard call these)
 # ----------------------------------------------------------------------
 def lint_plan_document(document, location="<plan>", families=None,
-                       base_dir=None):
+                       base_dir=None, cache=None):
     """Lint one plan document (a parsed JSON object).
 
     Returns ``(diagnostics, units, sources)``: the plan itself is one
     unit, every node with components is one more (its descriptor set
     runs the contract/wiring/admission families), and every rule
     source another (DRT5xx).  ``families`` follows the engine's
-    convention (None = all).
+    convention (None = all).  With a :class:`PlanLintCache`, node
+    units and descriptors seen before are not linted or parsed again;
+    the topology checks always run on the whole plan.
     """
     # Local import: the engine imports this module at load time.
     from repro.lint.engine import FAMILIES, lint_descriptor_texts
     if families is None:
         families = FAMILIES
-    plan, problems = parse_plan(document, location, base_dir=base_dir)
+    plan, problems = parse_plan(document, location, base_dir=base_dir,
+                                cache=cache)
+    lint_unit = lint_descriptor_texts if cache is None \
+        else cache.unit_diagnostics
     diagnostics = []
     units = 1
     sources = 1
@@ -798,8 +865,7 @@ def lint_plan_document(document, location="<plan>", families=None,
         units += 1
         sources += len(unit)
         if node_families:
-            diagnostics.extend(
-                lint_descriptor_texts(unit, node_families))
+            diagnostics.extend(lint_unit(unit, node_families))
     if plan.rule_sources:
         from repro.lint import adaptrules
         for rule_location, rule_text in plan.rule_sources:

@@ -332,16 +332,18 @@ def lint_paths(paths, families=FAMILIES, telemetry=None):
 
 
 def lint_plan(document, location="<plan>", families=FAMILIES,
-              telemetry=None):
+              telemetry=None, cache=None):
     """Lint one deployment-plan document (a parsed JSON object).
 
     The in-memory twin of passing a plan file to :func:`lint_paths`:
     the :class:`~repro.cluster.federation.Cluster`'s ``PlanGuard``
-    and ``export_plan()`` round-trips call this.  Returns a
-    :class:`LintResult`.
+    and ``export_plan()`` round-trips call this.  ``cache`` is an
+    optional :class:`~repro.lint.deployment.PlanLintCache` shared by
+    successive lints of a slowly changing plan; the result is the
+    same with or without it.  Returns a :class:`LintResult`.
     """
     diagnostics, units, sources = deployment.lint_plan_document(
-        document, location, families=families)
+        document, location, families=families, cache=cache)
     result = LintResult(diagnostics, units=units, sources=sources)
     if telemetry is not None:
         record_metrics(telemetry, result)

@@ -19,7 +19,8 @@ from repro.core.descriptor import ComponentDescriptor, ComponentProperty
 from repro.core.ports import PortDirection, PortSpec
 from repro.lint import Severity, lint_paths, lint_plan
 from repro.lint.deployment import (
-    PLAN_SCHEMA_VERSION, lint_plan_source, looks_like_plan_file)
+    PLAN_SCHEMA_VERSION, PlanLintCache, lint_plan_source,
+    looks_like_plan_file, parse_plan)
 from repro.rtos.task import TaskType
 from repro.sim.rng import RandomStreams
 from repro.workloads import (
@@ -369,3 +370,64 @@ class TestExportPlanRoundTrip:
             assert result.by_severity(Severity.ERROR) == []
         finally:
             cluster.shutdown()
+
+
+class TestPlanLintCache:
+    """The cache shares parsed descriptors across plans, so it is only
+    sound if no DRT checker mutates a descriptor it reads."""
+
+    def plans(self):
+        with open(EXAMPLE_PLAN, encoding="utf-8") as handle:
+            yield EXAMPLE_PLAN, json.load(handle)
+        for kind in sorted(PLAN_DEFECT_CODES):
+            yield kind, generate_defective_plan(kind)[0]
+        wired = plan_with()
+        wired["deployments"] = [
+            {"node": "node0", "components": [
+                {"xml": xml("SRC000", 0.2, ports=[outport("PRT000")])},
+                {"xml": "<drt:component name="}]},
+            {"node": "node1", "components": [
+                {"xml": xml("SNK000", 0.2, ports=[inport("PRT000")])}]}]
+        wired["applications"] = {"app": ["SRC000", "SNK000"]}
+        yield "wired", wired
+
+    def test_cached_lint_is_identical_and_read_only(self):
+        for location, document in self.plans():
+            cache = PlanLintCache()
+            plan, _ = parse_plan(document, location, cache=cache)
+            parsed = [comp.descriptor for comp in plan.components
+                      if comp.descriptor is not None]
+            assert parsed, location
+            before = [descriptor.to_xml() for descriptor in parsed]
+            reference = lint_plan(document, location)
+            first = lint_plan(document, location, cache=cache)
+            second = lint_plan(document, location, cache=cache)
+            expected = [d.as_dict() for d in reference.diagnostics]
+            assert [d.as_dict() for d in first.diagnostics] == expected
+            assert [d.as_dict() for d in second.diagnostics] == expected
+            assert (first.units, first.sources) \
+                == (second.units, second.sources) \
+                == (reference.units, reference.sources)
+            # The lints read the very objects parsed above ...
+            again, _ = parse_plan(document, location, cache=cache)
+            reused = [comp.descriptor for comp in again.components
+                      if comp.descriptor is not None]
+            assert len(reused) == len(parsed)
+            assert all(a is b for a, b in zip(reused, parsed))
+            # ... and left every one of them as it was.
+            assert [descriptor.to_xml() for descriptor in parsed] \
+                == before, location
+
+    def test_rotation_bounds_the_cache(self):
+        cache = PlanLintCache()
+        document, _ = generate_defective_plan("no_n1_headroom")
+        lint_plan(document, cache=cache)
+        held = len(cache)
+        assert held > 0
+        for _ in range(3):
+            cache.rotate()
+            lint_plan(document, cache=cache)
+            assert len(cache) == held
+        cache.rotate()
+        cache.rotate()
+        assert len(cache) == 0

@@ -81,7 +81,7 @@ def run_population(count, telemetry_enabled=True):
     sim = Simulator(seed=1,
                     telemetry=Telemetry(enabled=telemetry_enabled))
     kernel = RTKernel(sim, KernelConfig(
-        latency_model=NullLatencyModel(), trace_kernel=False))
+        latency_model=NullLatencyModel()))
     kernel.start_timer(1 * MSEC)
     for index in range(count):
         period = (1 + index % 10) * MSEC

@@ -9,7 +9,8 @@ Observability flags (see ``docs/OBSERVABILITY.md``):
 
 ``--trace out.json``
     export the run as Chrome trace-event JSON (open in
-    ``chrome://tracing`` or https://ui.perfetto.dev);
+    ``chrome://tracing`` or https://ui.perfetto.dev); also opts in to
+    the kernel's per-job scheduling records the slices are built from;
 ``--metrics metrics.json``
     dump every telemetry counter/gauge/histogram as JSON;
 ``--no-telemetry``
@@ -129,6 +130,9 @@ def main(argv=None):
     args = _parse_args(argv)
     telemetry = Telemetry(enabled=not args.no_telemetry)
     platform = build_platform(seed=2008, telemetry=telemetry)
+    if args.trace:
+        # The Chrome trace's occupancy slices need the per-job records.
+        platform.sim.trace.scheduling = True
     if args.full_reconfigure:
         platform.drcr.incremental = False
     platform.start_timer(1 * MSEC)

@@ -34,7 +34,9 @@ class Platform:
 
     def export_trace(self, path, indent=None):
         """Write the run's Chrome trace-event JSON to ``path`` (open it
-        in ``chrome://tracing`` or Perfetto); returns the document."""
+        in ``chrome://tracing`` or Perfetto); returns the document.
+        Task-occupancy slices need ``sim.trace.scheduling = True`` set
+        before the run."""
         from repro.telemetry.chrome import export_chrome_trace
         return export_chrome_trace(
             self.sim.trace, path, component_events=self.drcr.events,

@@ -59,7 +59,7 @@ class KernelConfig:
     def __init__(self, num_cpus=1, scheduler_policy="priority",
                  rr_quantum_ns=None, irq_entry_ns=300,
                  scheduler_overhead_ns=200, context_switch_ns=500,
-                 latency_model=None, trace_kernel=True):
+                 latency_model=None):
         if num_cpus < 1:
             raise ValueError("need at least one CPU")
         self.num_cpus = num_cpus
@@ -69,7 +69,6 @@ class KernelConfig:
         self.scheduler_overhead_ns = scheduler_overhead_ns
         self.context_switch_ns = context_switch_ns
         self.latency_model = latency_model or LatencyModel()
-        self.trace_kernel = trace_kernel
 
     @property
     def dispatch_cost_ns(self):
@@ -117,6 +116,10 @@ class RTKernel:
         # Round-robin is off by default; when it is, _begin_compute can
         # skip the quantum-arming helper entirely.
         self._rr_enabled = bool(self.config.rr_quantum_ns)
+        # The trace log; its ``scheduling`` flag gates the per-job
+        # records (release/dispatch/preempt/...), read on every job so a
+        # reader may opt in after the kernel is built.
+        self._log = sim.trace
         # Telemetry instruments (cached; no-ops when telemetry is off).
         # The counters touched per dispatch/release cache the bound
         # ``inc`` method itself -- when telemetry is disabled these are
@@ -154,8 +157,7 @@ class RTKernel:
         return self.sim.now
 
     def _trace(self, category, **fields):
-        if self.config.trace_kernel:
-            self.sim.trace.record(self.sim.now, category, **fields)
+        self._log.record(self.sim.now, category, **fields)
 
     def _register(self, name, obj):
         if name in self._registry:
@@ -681,7 +683,7 @@ class RTKernel:
             task._pending_kind = "period"
             task._pending_nominals.append(nominal)
             task._needs_advance = True
-            if self.config.trace_kernel:
+            if self._log.scheduling:
                 self._trace("release", task=task.name, nominal=nominal)
             # (inline _make_ready + _request_resched)
             task.state = TaskState.READY
@@ -745,7 +747,7 @@ class RTKernel:
         if self._last_ran[cpu] is not task:
             self._m_context_switches.inc()
             self._last_ran[cpu] = task
-        if self.config.trace_kernel:
+        if self._log.scheduling:
             self._trace("dispatch", task=task.name, cpu=cpu)
         if task._needs_advance:
             task._needs_advance = False
@@ -758,7 +760,7 @@ class RTKernel:
                 if task.stats.latency is not None:
                     task.stats.latency.add(value)
                 self._observe_latency(value)
-                if self.config.trace_kernel:
+                if self._log.scheduling:
                     self._trace("period_resume", task=task.name,
                                 nominal=nominal, latency=value)
             else:
@@ -815,7 +817,7 @@ class RTKernel:
         task.stats.preemptions += 1
         self._m_preemptions.inc()
         self._schedulers[cpu].add(task)
-        if self.config.trace_kernel:
+        if self._log.scheduling:
             self._trace("preempt", task=task.name, cpu=cpu)
 
     def _take_off_cpu(self, task):
@@ -840,7 +842,7 @@ class RTKernel:
         if self._segment_start[cpu] is not None:
             self._rt_busy_ns[cpu] += self.sim.now - self._segment_start[cpu]
             self._segment_start[cpu] = None
-        if self.config.trace_kernel:
+        if self._log.scheduling:
             self._trace("off_cpu", task=task.name, cpu=cpu)
 
     def _on_compute_complete(self, task):
@@ -986,7 +988,7 @@ class RTKernel:
             task._timeout_event = self.sim.schedule(
                 timeout_ns, self._on_ipc_timeout, task,
                 label=task._label_timeout)
-        if self.config.trace_kernel:
+        if self._log.scheduling:
             self._trace("block", task=task.name,
                         on=getattr(blocked_on, "name", "sleep"))
         self._request_resched(task.cpu)
@@ -1024,7 +1026,7 @@ class RTKernel:
             task._timeout_event = None
         task._needs_advance = True
         task._pending_value = value
-        if self.config.trace_kernel:
+        if self._log.scheduling:
             self._trace("wake", task=task.name)
         self._make_ready(task)
 

@@ -4,15 +4,50 @@ The kernel, the DRCR runtime and the benchmarks all append typed records
 to a :class:`TraceRecorder`.  Tests assert on exact record sequences
 (for example the admit/deactivate order of the paper's section 4.3
 dynamicity scenario), so records are plain, comparable data.
+
+Two kinds of record
+-------------------
+Most categories are **always on**: kernel lifecycle, IPC-object,
+fault, ``deadline_miss`` and overrun records, and every DRCR, cluster,
+monitor, hybrid and fault-injection record.  They mark decisions, not
+jobs, so the log grows with what happens to the system rather than
+with simulated time.
+
+The kernel's per-job scheduling records -- the
+:data:`SCHEDULING_CATEGORIES` written on every release, dispatch,
+preemption, block and wake -- are **opt-in**: the kernel builds them
+only while :attr:`TraceRecorder.scheduling` is true.  A reader that
+needs them (the Chrome exporter's occupancy slices, a test counting
+dispatches) sets ``sim.trace.scheduling = True`` before the run it
+observes; ``python -m repro --trace PATH`` does so right after building
+the platform.  :meth:`TraceRecorder.disable` still turns every record
+off, opted-in or not.
 """
+
+#: The kernel's per-job categories, recorded only while
+#: :attr:`TraceRecorder.scheduling` is set.
+SCHEDULING_CATEGORIES = frozenset({
+    "release", "dispatch", "period_resume", "preempt", "off_cpu",
+    "block", "wake"})
+
+#: Field names a record cannot carry: they would collide with its slots.
+RESERVED_FIELDS = frozenset({"time", "category", "fields"})
 
 
 class TraceRecord:
-    """One trace record: a timestamp, a category, and free-form fields."""
+    """One trace record: a timestamp, a category, and free-form fields.
+
+    Fields are read as attributes (``record.task``), so a field may not
+    be named after a slot (:data:`RESERVED_FIELDS`).
+    """
 
     __slots__ = ("time", "category", "fields")
 
-    def __init__(self, time, category, **fields):
+    def __init__(self, time, category, /, **fields):
+        if not RESERVED_FIELDS.isdisjoint(fields):
+            raise ValueError(
+                "trace field name(s) %s are reserved"
+                % ", ".join(sorted(RESERVED_FIELDS.intersection(fields))))
         self.time = time
         self.category = category
         self.fields = fields
@@ -43,6 +78,11 @@ class TraceRecorder:
     def __init__(self):
         self._records = []
         self._enabled = True
+        #: Whether the kernel records its per-job
+        #: :data:`SCHEDULING_CATEGORIES` (default off; see the module
+        #: docstring).  A plain attribute: the kernel tests it on every
+        #: job.
+        self.scheduling = False
 
     def __len__(self):
         return len(self._records)
@@ -63,7 +103,7 @@ class TraceRecorder:
         """Resume recording."""
         self._enabled = True
 
-    def record(self, time, category, **fields):
+    def record(self, time, category, /, **fields):
         """Append one record (no-op while disabled)."""
         if self._enabled:
             self._records.append(TraceRecord(time, category, **fields))

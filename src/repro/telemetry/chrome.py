@@ -1,12 +1,20 @@
 """Chrome trace-event export of the simulator's structured trace.
 
-The :class:`~repro.sim.trace.TraceRecorder` already records everything
-the kernel and the DRCR do; this module converts those typed records
-into the `Trace Event Format`_ consumed by ``chrome://tracing`` and
+The :class:`~repro.sim.trace.TraceRecorder` records what the kernel and
+the DRCR do; this module converts those typed records into the
+`Trace Event Format`_ consumed by ``chrome://tracing`` and
 `Perfetto <https://ui.perfetto.dev>`_, so an operator can *see* a run:
 one timeline row per CPU with an execution slice per task occupancy,
 instant markers for every kernel event, and a dedicated DRCR row for
 lifecycle decisions.
+
+The occupancy slices are built from the kernel's per-job scheduling
+records (:data:`~repro.sim.trace.SCHEDULING_CATEGORIES`), which the
+kernel records only for a reader that opted in
+(``sim.trace.scheduling = True`` before the run; ``python -m repro
+--trace PATH`` does it).  Without the opt-in the export is still valid
+but carries only the always-on records: lifecycle, IPC objects,
+faults, deadline misses, overruns and the DRCR's decisions.
 
 Mapping
 -------

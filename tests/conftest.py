@@ -1,12 +1,44 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+Hypothesis runs under one of two profiles.  ``tier1`` (the default) is
+derandomized: every run draws the same examples, so the suite cannot
+fail at random.  ``explore`` (``pytest tests/property
+--hypothesis-profile=explore``) draws fresh random examples, five times
+each test's own ``max_examples``, to find what the fixed draw misses.
+"""
 
 import pytest
+from hypothesis import settings
 
 from repro.core.policies import UtilizationBoundPolicy
 from repro.platform import build_platform
 from repro.rtos.kernel import KernelConfig, RTKernel
 from repro.rtos.latency import NullLatencyModel
 from repro.sim.engine import MSEC, Simulator
+
+#: How many times its own ``max_examples`` a test runs under ``explore``.
+EXPLORE_SCALE = 5
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
+
+
+def pytest_collection_modifyitems(items):
+    """Under ``explore``, scale every Hypothesis test's own
+    ``max_examples`` (the tests pin theirs, which a profile cannot
+    override)."""
+    if settings.get_current_profile_name() != "explore":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "function", None)
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is None or id(test) in scaled:
+            continue
+        scaled.add(id(test))
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=own.max_examples * EXPLORE_SCALE)
 
 
 @pytest.fixture

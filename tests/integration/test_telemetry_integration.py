@@ -51,6 +51,8 @@ class TestDynamicityScenarioCounters:
 
     @pytest.fixture
     def scenario(self, platform):
+        # the kernel-counter cross-check reads per-job records
+        platform.sim.trace.scheduling = True
         gate = GatedResolvingService()
         platform.framework.registry.register(
             RESOLVING_SERVICE_INTERFACE, gate)
@@ -150,6 +152,21 @@ class TestCliSurface:
         assert metrics["version"] == 1
         assert metrics["enabled"] is True
         assert metrics["subsystems"]["sim"]["events_total"]["value"] > 0
+
+    def test_trace_flag_opts_in_to_scheduling_records(self, tmp_path,
+                                                      capsys):
+        from repro.__main__ import main
+        from repro.telemetry.chrome import validate_chrome_trace
+        trace_path = tmp_path / "out.json"
+        main(["--seconds", "1", "--trace", str(trace_path)])
+        assert "wrote Chrome trace" in capsys.readouterr().out
+        document = json.loads(trace_path.read_text())
+        assert validate_chrome_trace(document) \
+            == len(document["traceEvents"])
+        slices = [e for e in document["traceEvents"] if e["ph"] == "X"]
+        assert slices
+        assert {e["name"] for e in document["traceEvents"]
+                if e["ph"] == "i"} >= {"dispatch", "off_cpu"}
 
     def test_no_telemetry_flag(self, tmp_path):
         metrics_path = tmp_path / "metrics.json"

@@ -6,13 +6,16 @@ component entries :mod:`repro.core.snapshot` ships between nodes --
 and tuple-ized the event heap behind them.  None of those types may
 rely on ``__dict__`` anymore, so these properties pin the observable
 contract: a slotted trace record is indistinguishable from the
-dict-based model it replaced, and a snapshot entry round-trips through
-JSON (the cluster wire format) without losing a property or a state.
+dict-based model it replaced (a field named after one of its slots is
+rejected, since it would shadow that slot), and a snapshot entry
+round-trips through JSON (the cluster wire format) without losing a
+property or a state.
 """
 
 import json
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import UtilizationBoundPolicy
@@ -21,13 +24,14 @@ from repro.platform import build_platform
 from repro.rtos.kernel import KernelConfig
 from repro.rtos.latency import NullLatencyModel
 from repro.sim.engine import MSEC
-from repro.sim.trace import TraceRecord, TraceRecorder
+from repro.sim.trace import RESERVED_FIELDS, TraceRecord, TraceRecorder
 
 from conftest import deploy, make_descriptor_xml
 
-field_names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_",
-                      min_size=1, max_size=8).filter(
-                          lambda s: s not in ("time", "category"))
+field_names = st.one_of(
+    st.sampled_from(sorted(RESERVED_FIELDS)),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1,
+            max_size=8))
 field_values = st.one_of(st.integers(-10**9, 10**9), st.booleans(),
                          st.text(max_size=12), st.none())
 records = st.lists(
@@ -51,6 +55,10 @@ class TestTraceRecordModel:
         recorder = TraceRecorder()
         reference = []  # the pre-__slots__ model: a list of dicts
         for time, category, fields in items:
+            if RESERVED_FIELDS.intersection(fields):
+                with pytest.raises(ValueError, match="reserved"):
+                    recorder.record(time, category, **fields)
+                continue
             recorder.record(time, category, **fields)
             reference.append({"time": time, "category": category,
                               **fields})
@@ -65,8 +73,15 @@ class TestTraceRecordModel:
     @given(st.integers(0, 10**12),
            st.text(min_size=1, max_size=10),
            st.dictionaries(field_names, field_values, max_size=4))
+    @example(0, "0", {"fields": None})
     def test_record_equality_and_attr_access(self, time, category,
                                              fields):
+        if RESERVED_FIELDS.intersection(fields):
+            # a field named after a slot would shadow it (or collide
+            # with the constructor's own arguments)
+            with pytest.raises(ValueError, match="reserved"):
+                TraceRecord(time, category, **fields)
+            return
         record = TraceRecord(time, category, **fields)
         twin = TraceRecord(time, category, **dict(fields))
         assert record == twin

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.rtos.errors import TaskStateError
+from repro.rtos.kernel import KernelConfig, RTKernel
+from repro.rtos.latency import NullLatencyModel
 from repro.rtos.requests import Compute, Receive, Send, Sleep, \
     WaitPeriod
 from repro.rtos.task import TaskState, TaskType
-from repro.sim.engine import MSEC, USEC
+from repro.sim.engine import MSEC, USEC, Simulator
+from repro.sim.trace import SCHEDULING_CATEGORIES
 
 
 class TestRequestValidation:
@@ -152,22 +155,43 @@ class TestSchedulingCorners:
         with pytest.raises(TaskStateError):
             kernel.start_task(task)
 
-    def test_trace_can_be_disabled(self):
-        from repro.rtos.kernel import KernelConfig, RTKernel
-        from repro.rtos.latency import NullLatencyModel
-        from repro.sim.engine import Simulator
-        sim = Simulator(seed=1)
+    @staticmethod
+    def _run_periodic(sim):
         kernel = RTKernel(sim, KernelConfig(
-            latency_model=NullLatencyModel(), trace_kernel=False))
+            latency_model=NullLatencyModel()))
         kernel.start_timer(1 * MSEC)
 
         def body(task):
             while True:
                 yield WaitPeriod()
+                yield Compute(100 * USEC)
 
         task = kernel.create_task("QUIET0", body, 1,
                                   task_type=TaskType.PERIODIC,
                                   period_ns=1 * MSEC)
         kernel.start_task(task)
         sim.run_for(10 * MSEC)
+        return kernel
+
+    def test_scheduling_records_are_opt_in(self):
+        sim = Simulator(seed=1)
+        kernel = self._run_periodic(sim)
+        assert kernel.lookup("QUIET0").stats.activations > 0
+        assert not sim.trace.categories() & SCHEDULING_CATEGORIES
+        assert sim.trace.by_category("task_start")
+        opted_in = Simulator(seed=1)
+        opted_in.trace.scheduling = True
+        self._run_periodic(opted_in)
+        assert opted_in.trace.categories() >= {
+            "release", "dispatch", "period_resume", "off_cpu"}
+        # opting in adds the per-job records and changes nothing else
+        assert [r for r in opted_in.trace
+                if r.category not in SCHEDULING_CATEGORIES] \
+            == list(sim.trace)
+
+    def test_trace_can_be_disabled(self):
+        sim = Simulator(seed=1)
+        sim.trace.scheduling = True
+        sim.trace.disable()
+        self._run_periodic(sim)
         assert len(sim.trace) == 0

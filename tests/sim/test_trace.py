@@ -26,6 +26,15 @@ class TestTraceRecord:
     def test_equality_with_other_types(self):
         assert TraceRecord(1, "x").__eq__(42) is NotImplemented
 
+    @pytest.mark.parametrize("name", ["time", "category", "fields"])
+    def test_reserved_field_names_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            TraceRecord(1, "x", **{name: 0})
+        recorder = TraceRecorder()
+        with pytest.raises(ValueError, match=name):
+            recorder.record(1, "x", **{name: 0})
+        assert len(recorder) == 0
+
 
 class TestTraceRecorder:
     def test_record_and_iterate(self):

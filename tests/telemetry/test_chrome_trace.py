@@ -126,6 +126,7 @@ def test_live_platform_export_validates(tmp_path):
             yield Compute(100_000)
 
     platform = build_platform(seed=42)
+    platform.sim.trace.scheduling = True     # the slices need dispatches
     platform.start_timer(1_000_000)
     task = platform.kernel.create_task(
         "T1", body, 2, task_type=TaskType.PERIODIC,

@@ -30,6 +30,7 @@ Quick use::
 
     >>> from repro import build_platform
     >>> platform = build_platform(seed=1)
+    >>> platform.sim.trace.scheduling = True   # per-job records for the trace
     >>> # ... deploy components, run ...
     >>> platform.telemetry.aggregate()["rtos.dispatches_total"].value
     0

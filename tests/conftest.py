@@ -5,10 +5,15 @@ derandomized: every run draws the same examples, so the suite cannot
 fail at random.  ``explore`` (``pytest tests/property
 --hypothesis-profile=explore``) draws fresh random examples, five times
 each test's own ``max_examples``, to find what the fixed draw misses.
+
+Only ``tests/property`` uses Hypothesis, so the rest of the suite also
+runs where it is not installed (pytest alone).  The profiles live here
+rather than in a ``tests/property/conftest.py`` because test modules
+import helpers with ``from conftest import ...``, which a second
+``conftest`` module would shadow.
 """
 
 import pytest
-from hypothesis import settings
 
 from repro.core.policies import UtilizationBoundPolicy
 from repro.platform import build_platform
@@ -16,29 +21,46 @@ from repro.rtos.kernel import KernelConfig, RTKernel
 from repro.rtos.latency import NullLatencyModel
 from repro.sim.engine import MSEC, Simulator
 
+try:
+    from hypothesis import is_hypothesis_test, settings
+except ImportError:
+    settings = None
+
 #: How many times its own ``max_examples`` a test runs under ``explore``.
 EXPLORE_SCALE = 5
 
-settings.register_profile("tier1", derandomize=True)
-settings.register_profile("explore", derandomize=False)
-settings.load_profile("tier1")
+#: Where ``@settings`` stores a test's own settings.  Hypothesis has no
+#: public setter for it; the collection hook asserts it is there, so an
+#: upgrade that moves it fails the explore run instead of silently
+#: running it at 1x.
+_OWN_SETTINGS = "_hypothesis_internal_use_settings"
+
+if settings is not None:
+    settings.register_profile("tier1", derandomize=True)
+    settings.register_profile("explore", derandomize=False)
+    # A --hypothesis-profile given on the command line must win.
+    if settings.get_current_profile_name() == "default":
+        settings.load_profile("tier1")
 
 
 def pytest_collection_modifyitems(items):
     """Under ``explore``, scale every Hypothesis test's own
     ``max_examples`` (the tests pin theirs, which a profile cannot
     override)."""
-    if settings.get_current_profile_name() != "explore":
+    if settings is None or settings.get_current_profile_name() != "explore":
         return
     scaled = set()
     for item in items:
         test = getattr(item, "function", None)
-        own = getattr(test, "_hypothesis_internal_use_settings", None)
-        if own is None or id(test) in scaled:
+        if test is None or not is_hypothesis_test(test) or id(test) in scaled:
             continue
+        own = getattr(test, _OWN_SETTINGS, None)
+        assert isinstance(own, settings), (
+            f"{item.nodeid}: Hypothesis no longer keeps a test's settings "
+            f"in {_OWN_SETTINGS}; update tests/conftest.py")
         scaled.add(id(test))
-        test._hypothesis_internal_use_settings = settings(
-            own, max_examples=own.max_examples * EXPLORE_SCALE)
+        setattr(test, _OWN_SETTINGS, settings(
+            own, max_examples=own.max_examples * EXPLORE_SCALE))
 
 
 @pytest.fixture

@@ -146,6 +146,8 @@ class ClusterNode:
         self.alive = True
         self._snapshot_cache = None
         self._snapshot_version = 0
+        #: ``drcr.registry.change_mark`` when the export was last built.
+        self._snapshot_mark = None
         transport.register(name, self.handle_message)
 
     # ------------------------------------------------------------------
@@ -181,17 +183,27 @@ class ClusterNode:
         """Version counter over this node's exportable state.
 
         Bumped whenever the export (components, live properties,
-        application groupings) differs from the cached copy -- the
-        membership layer announces version changes to the coordinator
-        in a tiny ``digest`` instead of shipping the full snapshot to
-        every peer every beat."""
-        snapshot = {
-            "components": self.export_entries(),
-            "applications": self.drcr.applications(),
-        }
-        if snapshot != self._snapshot_cache:
-            self._snapshot_cache = snapshot
-            self._snapshot_version += 1
+        application groupings) differs from the cached copy when it is
+        observed -- the membership layer announces version changes to
+        the coordinator in a tiny ``digest`` instead of shipping the
+        full snapshot to every peer every beat.
+
+        The export is rebuilt and diffed only after the DRCR registry's
+        ``change_mark`` moved: every write that feeds the export
+        (deploy, undeploy, lifecycle state, placement, application
+        groups, any write to a component's live-property map) bumps
+        it, so an unmoved mark means the cached copy is still exact.  A moved mark is not a version -- the diff still
+        decides, so a same-value ``set_property`` bumps nothing."""
+        mark = self.drcr.registry.change_mark
+        if mark != self._snapshot_mark:
+            self._snapshot_mark = mark
+            snapshot = {
+                "components": self.export_entries(),
+                "applications": self.drcr.applications(),
+            }
+            if snapshot != self._snapshot_cache:
+                self._snapshot_cache = snapshot
+                self._snapshot_version += 1
         return self._snapshot_version
 
     def snapshot(self):

@@ -62,6 +62,15 @@ class DRComComponent:
         if self._registry is not None and old is not value:
             self._registry._state_changed(self, old, value)
 
+    def note_change(self):
+        """Mark the owning registry changed (see
+        ``ComponentRegistry.change_mark``): the hybrid container's
+        live-property map calls this after every write.  A no-op while
+        unregistered."""
+        registry = self._registry
+        if registry is not None:
+            registry.change_mark += 1
+
     @property
     def name(self):
         """The component's globally unique name."""

@@ -101,6 +101,8 @@ class ComponentDescriptor:
             deadline_ns=deadline_ns, cpu=cpu,
             min_interarrival_ns=min_interarrival_ns,
             stochastic=stochastic)
+        #: ``(contract.cpu, xml)`` of the last :meth:`to_xml` render.
+        self._xml_memo = None
 
     # ------------------------------------------------------------------
     # derived views
@@ -271,7 +273,25 @@ class ComponentDescriptor:
         )
 
     def to_xml(self):
-        """Serialise back to descriptor XML (round-trips from_xml)."""
+        """Serialise back to descriptor XML (round-trips from_xml).
+
+        The text is rendered once per placement and then reused: after
+        parsing, the only field the runtime writes is
+        ``contract.cpu`` (:meth:`repro.core.drcr.DRCR._apply_placement`
+        re-pins the CPU), so the memo is keyed on it.  Every other
+        field is read-only once parsed --
+        ``tests/core/test_descriptor_memo.py`` checks that over seeded
+        cluster and chaos runs.  Code that edits a descriptor in place
+        must do so before its first ``to_xml()``.
+        """
+        memo = self._xml_memo
+        cpu = self.contract.cpu
+        if memo is None or memo[0] != cpu:
+            memo = self._xml_memo = (cpu, self._render_xml())
+        return memo[1]
+
+    def _render_xml(self):
+        """Serialise every field to descriptor XML (no memo)."""
         lines = ['<?xml version="1.0" encoding="UTF-8"?>']
         lines.append(
             '<drt:component xmlns:drt="%s" name="%s" desc="%s" type="%s" '

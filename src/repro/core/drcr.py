@@ -351,6 +351,7 @@ class DRCR:
                 if not any(member in self.registry
                            for member in members):
                     del self._applications[name]
+                    self.registry.note_change()
 
     def register_component(self, descriptor, bundle=None):
         """Deploy one component from a parsed descriptor.
@@ -432,6 +433,7 @@ class DRCR:
         members = self._applications.pop(name, None)
         if members is None:
             raise LifecycleError("no application named %r" % (name,))
+        self.registry.note_change()
         for member in members:
             component = self.registry.maybe_get(member)
             if component is not None:
@@ -457,6 +459,7 @@ class DRCR:
             raise LifecycleError("application name must be non-empty")
         members = [str(member) for member in members]
         self._applications[name] = members
+        self.registry.note_change()
         return list(members)
 
     def applications(self):
@@ -812,6 +815,7 @@ class DRCR:
                 % (cpu, component.name))
         self._trace_placement(component, cpu)
         component.contract.cpu = cpu
+        self.registry.note_change()
 
     def _trace_placement(self, component, cpu):
         self.kernel.sim.trace.record(

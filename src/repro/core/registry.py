@@ -69,6 +69,14 @@ class ComponentRegistry:
         self._wired = {}
         #: bundle -> {name: component} for O(answer) bundle undeploys.
         self._by_bundle = {}
+        #: Change mark: bumped by every write that can alter what the
+        #: components export (:func:`repro.core.snapshot
+        #: .export_component_entry`) or the DRCR's application groups
+        #: -- membership, lifecycle state, placement, live properties.
+        #: A reader that remembers the value may skip re-reading while
+        #: it is unchanged.  It is a gate, not a version: a bump does
+        #: not promise that the export differs.
+        self.change_mark = 0
 
     # ------------------------------------------------------------------
     # membership
@@ -109,6 +117,7 @@ class ComponentRegistry:
             self._by_bundle.setdefault(
                 component.bundle, {})[name] = component
         component._registry = self
+        self.change_mark += 1
 
     def remove(self, component):
         """Forget a component (and every index entry it owns)."""
@@ -116,6 +125,7 @@ class ComponentRegistry:
         if self._components.pop(name, None) is None:
             return
         component._registry = None
+        self.change_mark += 1
         self._order.pop(name, None)
         self._task_names.pop(component.descriptor.task_name, None)
         for bucket in self._by_state.values():
@@ -186,6 +196,12 @@ class ComponentRegistry:
         bucket = self._by_state[old_state]
         if bucket.pop(name, None) is not None:
             self._by_state[new_state][name] = component
+        self.change_mark += 1
+
+    def note_change(self):
+        """Bump :attr:`change_mark` after a write outside the registry
+        (placement, application groups)."""
+        self.change_mark += 1
 
     def in_state(self, *states):
         """Components currently in any of ``states``, in registration

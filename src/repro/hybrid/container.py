@@ -27,7 +27,8 @@ class HybridContainer:
         registry = implementation_registry or default_registry
         self.implementation = registry.create(
             component.descriptor.implementation)
-        self.ctx = RTContext(component.descriptor, kernel)
+        self.ctx = RTContext(component.descriptor, kernel,
+                             on_change=component.note_change)
         self.bridge = None
         self.rt_part = None
         self.nrt_part = None

@@ -14,16 +14,79 @@ from repro.rtos.mailbox import Mailbox
 from repro.rtos.shm import SharedMemory
 
 
-class RTContext:
-    """Per-component execution context (one per activation)."""
+class LiveProperties(dict):
+    """A component's live property map: a dict that reports writes.
 
-    def __init__(self, descriptor, kernel):
+    Every mutating call runs ``on_change()`` after it, whoever makes
+    it -- implementation hooks, the §3.2 ``SET_PROPERTY`` handler --
+    so an exporter of live state (the cluster node's snapshot) learns
+    that it may have moved instead of re-reading it to find out.
+    Reads stay plain ``dict`` reads.
+    """
+
+    __slots__ = ("_on_change",)
+
+    def __init__(self, values, on_change):
+        super().__init__(values)
+        self._on_change = on_change
+
+    def __setitem__(self, key, value):
+        dict.__setitem__(self, key, value)
+        self._on_change()
+
+    def __delitem__(self, key):
+        dict.__delitem__(self, key)
+        self._on_change()
+
+    def __ior__(self, other):
+        dict.update(self, other)
+        self._on_change()
+        return self
+
+    def setdefault(self, key, default=None):
+        value = dict.setdefault(self, key, default)
+        self._on_change()
+        return value
+
+    def update(self, *args, **kwargs):
+        dict.update(self, *args, **kwargs)
+        self._on_change()
+
+    def pop(self, *args):
+        value = dict.pop(self, *args)
+        self._on_change()
+        return value
+
+    def popitem(self):
+        item = dict.popitem(self)
+        self._on_change()
+        return item
+
+    def clear(self):
+        dict.clear(self)
+        self._on_change()
+
+
+def _unobserved():
+    """The ``on_change`` of a context nobody exports."""
+
+
+class RTContext:
+    """Per-component execution context (one per activation).
+
+    ``on_change`` is called after every write to :attr:`properties`;
+    the hybrid container passes
+    :meth:`repro.core.component.DRComComponent.note_change`.
+    """
+
+    def __init__(self, descriptor, kernel, on_change=_unobserved):
         self.descriptor = descriptor
         self.kernel = kernel
         #: Live configuration properties.  Conceptually a shared segment
         #: owned by the RT side: the management part *reads* it directly
         #: but *writes* only through the command queue.
-        self.properties = descriptor.property_dict()
+        self.properties = LiveProperties(descriptor.property_dict(),
+                                         on_change)
         #: Kernel objects backing the ports (name -> SHM or Mailbox).
         self.port_objects = {}
         #: The RT task once started (set by the container).

@@ -398,7 +398,9 @@ class TestPlanLintCache:
             parsed = [comp.descriptor for comp in plan.components
                       if comp.descriptor is not None]
             assert parsed, location
-            before = [descriptor.to_xml() for descriptor in parsed]
+            # Fresh renders: to_xml() is memoised per placement, so it
+            # would not see a checker's write to another field.
+            before = [descriptor._render_xml() for descriptor in parsed]
             reference = lint_plan(document, location)
             first = lint_plan(document, location, cache=cache)
             second = lint_plan(document, location, cache=cache)
@@ -415,7 +417,7 @@ class TestPlanLintCache:
             assert len(reused) == len(parsed)
             assert all(a is b for a, b in zip(reused, parsed))
             # ... and left every one of them as it was.
-            assert [descriptor.to_xml() for descriptor in parsed] \
+            assert [descriptor._render_xml() for descriptor in parsed] \
                 == before, location
 
     def test_rotation_bounds_the_cache(self):

@@ -3,8 +3,9 @@
 Every ``import`` under ``src/repro`` is read with :mod:`ast` and sorted
 into *module scope* (runs when the importing module is imported; class
 bodies count) and *function scope* (deferred until the function runs --
-the "lazy" imports the rules allow).  Rules 1, 4 and 8 are asserted on
-that graph, so the document and the code cannot drift apart silently.
+the "lazy" imports the rules allow).  Rules 1, 2, 4, 5 and 8 are
+asserted on that graph, so the document and the code cannot drift
+apart silently.
 """
 
 import ast
@@ -113,6 +114,38 @@ class TestRule1Substrate:
                      for importer, target in _edges_from("repro.osgi")
                      if _in(target, "repro.rtos")]
         assert not offenders, offenders
+
+
+def test_rule2_core_does_not_import_sim():
+    """``core`` reaches the simulator only through the kernel it was
+    handed, so it imports nothing from ``sim`` -- not even lazily."""
+    offenders = [(importer, target)
+                 for importer, target in _edges_from("repro.core")
+                 if _in(target, "repro.sim")]
+    assert not offenders, offenders
+
+
+class TestRule5ClusterOnTop:
+    """``cluster`` composes whole platforms and sits below nothing: at
+    module scope only ``cluster`` itself and ``lint.deployment`` (the
+    ``LinkSpec`` value type, rule 8) import it; the CLI does lazily."""
+
+    def test_module_scope_importers(self):
+        offenders = [
+            (importer, target, name)
+            for importer, target, name, lazy in EDGES
+            if not lazy and _in(target, "repro.cluster")
+            and not _in(importer, "repro.cluster")
+            and (importer, target, name) != (
+                "repro.lint.deployment", "repro.cluster.transport",
+                "LinkSpec")]
+        assert not offenders, offenders
+
+    def test_lazy_importers(self):
+        importers = {importer for importer, target, _, lazy in EDGES
+                     if lazy and _in(target, "repro.cluster")
+                     and not _in(importer, "repro.cluster")}
+        assert importers == {"repro.__main__"}
 
 
 def test_rule4_only_recovery_policies_at_module_scope():

@@ -153,9 +153,10 @@ class PlanGuard:
     The guard owns one :class:`~repro.lint.deployment.PlanLintCache`,
     rotated at the start of every check, so a check re-parses and
     re-lints only the node units the deployment (or whatever changed
-    the fleet since the last check) touched; the topology checks still
-    run on the whole plan, and every verdict is what a cache-free lint
-    of the same documents gives.
+    the fleet since the last check) touched.  DRT601/DRT604 are
+    memoised per node, and DRT602 replays only the node losses that a
+    headroom bound cannot clear.  Every verdict is what a cache-free
+    lint of the same documents gives.
 
     Telemetry lands in the ``lint`` registry:
     ``plan_checks_total``, ``plan_rejections_total``,
@@ -411,6 +412,11 @@ class Cluster:
         alive = {node.name for node in self.alive_nodes()}
         nodes = []
         deployments = []
+        hosted = {}
+        for comp, home in sorted(self.deployments.items()):
+            if comp in self.catalog:
+                hosted.setdefault(home, []).append(
+                    {"xml": self.catalog[comp]["descriptor_xml"]})
         for name in sorted(self.nodes):
             if name not in alive:
                 continue
@@ -420,10 +426,7 @@ class Cluster:
                 "num_cpus": node.kernel.config.num_cpus,
                 "cap": self.placement.cap,
             })
-            components = [
-                {"xml": self.catalog[comp]["descriptor_xml"]}
-                for comp, home in sorted(self.deployments.items())
-                if home == name and comp in self.catalog]
+            components = hosted.get(name)
             if components:
                 deployments.append({"node": name,
                                     "components": components})

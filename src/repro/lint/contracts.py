@@ -135,18 +135,19 @@ def check_deployment_names(entries):
                 "deployment (also at: %s)"
                 % (name, len(locations), ", ".join(locations[1:]))))
     # nam2num collisions among *distinct* component names: exact
-    # duplicates are already DRT101, so fold each name once.
-    by_num = {}
+    # duplicates are already DRT101, so fold each name once.  Task
+    # names are canonical and nam2num is one-to-one on them, so names
+    # collide exactly when their task names are equal; only a collision
+    # needs its number.
+    by_task = {}
     for descriptor, location in entries:
-        if descriptor.name not in by_name:
-            continue
-        key = rtai_names.nam2num(descriptor.task_name)
-        bucket = by_num.setdefault(key, {})
-        bucket.setdefault(descriptor.name,
-                          (descriptor.task_name, location))
-    for key, bucket in sorted(by_num.items()):
-        if len(bucket) < 2:
-            continue
+        task_name = descriptor.task_name
+        bucket = by_task.setdefault(task_name, {})
+        bucket.setdefault(descriptor.name, (task_name, location))
+    collisions = sorted((rtai_names.nam2num(task_name), bucket)
+                        for task_name, bucket in by_task.items()
+                        if len(bucket) > 1)
+    for key, bucket in collisions:
         members = sorted(bucket.items())
         names = ", ".join("%s -> %s" % (name, task_name)
                           for name, (task_name, _) in members)

@@ -67,6 +67,7 @@ bind per kernel), so one ``python -m repro lint plan.json`` covers
 both the fleet shape and every node's local deployment.
 """
 
+import heapq
 import json
 import os
 
@@ -75,6 +76,8 @@ from repro.analysis import TaskSpec, response_time
 from repro.cluster.transport import LinkSpec
 from repro.core.descriptor import ComponentDescriptor
 from repro.core.errors import DRComError
+from repro.core.ports import PortDirection
+from repro.lint import contracts
 # Shared interval arithmetic: DRT606 must agree with DRT503 about
 # when two rule conditions can hold in the same epoch.
 from repro.lint.adaptrules import _compatible, _constraint_map
@@ -89,6 +92,13 @@ COORDINATOR = "control"
 
 #: Same capacity slack as the runtime placement services.
 _EPSILON = 1e-12
+
+#: Float margin of the DRT602 headroom shortcut: a survivor's headroom
+#: must beat the lost node's load by this much.  That is well above the
+#: rounding error of the replay's utilization sums (about 1e-10 at
+#: worst for a thousand components on one node), so the shortcut never
+#: skips a loss the replay would flag.
+_SHORTCUT_MARGIN = 1e-9
 
 _PLAN_KEYS = frozenset((
     "plan_version", "name", "cap", "default_link", "links", "nodes",
@@ -163,11 +173,16 @@ class DeploymentPlan:
         self.components = []     # PlanComponent, plan order
         self.applications = {}   # app name -> [member names]
         self.rule_sources = []   # (location, text)
+        # The node index, built once by parse_plan: node name ->
+        # [PlanComponent], and node name -> ((location, xml), ...),
+        # the node's deployment unit; both in plan order and only for
+        # nodes with components, the units in node order.
+        self._by_node = {}
+        self.units = {}
 
     def components_of(self, node_name):
-        """This node's components, plan order."""
-        return [comp for comp in self.components
-                if comp.node == node_name]
+        """This node's components, plan order (do not mutate)."""
+        return self._by_node.get(node_name, [])
 
     def node_of(self):
         """``{component name: home node}`` for parseable components."""
@@ -183,21 +198,34 @@ class DeploymentPlan:
 class PlanLintCache:
     """Two-generation memo for linting a plan that changes a little.
 
-    Holds parsed descriptors keyed by their XML text, and each node
-    unit's contract/wiring/admission diagnostics keyed by
-    ``(families, ((location, xml), ...))``.  Both are pure functions
-    of their key, so an entry is never stale and nothing needs
-    invalidating: a changed node simply misses.  :meth:`rotate` starts
-    a new generation; a hit in the previous one moves forward, so the
-    cache holds at most what the last two generations used.  Cached
-    descriptors are shared between plans: the checks only read them.
+    Holds, each under a key that carries every input of its value:
+
+    * parsed descriptors, keyed by their XML text;
+    * each descriptor source's own checks (DRT104/DRT107 on the raw
+      XML, then DRT100 or DRT103/105/106/108 on the parse), keyed by
+      its ``(location, xml)`` pair;
+    * each node unit's diagnostics for the families linted, keyed by
+      ``(families, ((location, xml), ...))``;
+    * each node's DRT601 and DRT604 findings, keyed by the code, the
+      node's name, what the check reads of the node (``num_cpus`` and
+      ``cap`` for DRT601, the ``control -> node`` link's worst-case
+      delay for DRT604) and its unit.
+
+    Every value is a pure function of its key, so an entry is never
+    stale and nothing needs invalidating: a changed node simply
+    misses.  :meth:`rotate` starts a new generation; a hit in the
+    previous one moves forward (a unit carries its sources' entries
+    with it), so the cache holds at most what the last two generations
+    used.  Cached descriptors and diagnostics are shared between
+    plans: the checks only read them.
     """
 
     __slots__ = ("_current", "_previous")
 
     def __init__(self):
-        # One memo for both kinds: descriptor keys are strings, unit
-        # keys are tuples, so they never collide.
+        # One memo for every kind: descriptor keys are strings, source
+        # keys pairs of strings, unit keys pairs of tuples and node
+        # keys longer tuples tagged by their code, so none collide.
         self._current = {}
         self._previous = {}
 
@@ -209,22 +237,90 @@ class PlanLintCache:
     def __len__(self):
         return len(self._current) + len(self._previous)
 
-    def _lookup(self, key, compute):
+    def _lookup(self, key, compute, *args):
         value = self._current.get(key)
         if value is None:
             value = self._previous.pop(key, None)
             if value is None:
-                value = compute(key)
+                value = compute(*args)
             self._current[key] = value
         return value
 
     def parse(self, text):
         """``(descriptor, None)`` or ``(None, parse error message)``."""
-        return self._lookup(text, _parse_descriptor)
+        # Called once per component per lint: _lookup, inlined.
+        value = self._current.get(text)
+        if value is None:
+            value = self._previous.pop(text, None)
+            if value is None:
+                value = _parse_descriptor(text)
+            self._current[text] = value
+        return value
 
     def unit_diagnostics(self, unit, families):
-        """``lint_descriptor_texts(unit, families)``, memoised."""
-        return self._lookup((families, tuple(unit)), _lint_unit)
+        """``lint_descriptor_texts(unit, families)``, memoised.
+
+        ``unit`` is a tuple of ``(location, xml)`` pairs.  A miss takes
+        each descriptor from :meth:`parse` and each source's own checks
+        from their memo, and runs only the checks that read the whole
+        unit; the diagnostics come out in the cache-free order."""
+        key = (families, unit)
+        diagnostics = self._current.get(key)
+        if diagnostics is None:
+            diagnostics = self._previous.pop(key, None)
+            if diagnostics is None:
+                diagnostics = self._lint_unit(unit, families)
+            else:
+                # The sources are reached only through a unit miss:
+                # move them with their unit, or the next rotation
+                # drops entries the unit's next miss would need.
+                current = self._current
+                previous = self._previous
+                for pair in unit:
+                    value = previous.pop(pair, None)
+                    if value is not None:
+                        current[pair] = value
+            self._current[key] = diagnostics
+        return diagnostics
+
+    def node_diagnostics(self, key, check, *args):
+        """A per-node check's findings, ``check(*args)`` on a miss."""
+        return self._lookup(key, check, *args)
+
+    def _check_source(self, pair):
+        # (raw-XML findings, descriptor or None, DRT100 or the
+        # descriptor's own findings): lint_descriptor_texts' per-source
+        # work, split by the place each part takes in its output.
+        location, text = pair
+        descriptor, error = self.parse(text)
+        if descriptor is None:
+            findings = [Diagnostic("DRT100", "", location, error)]
+        else:
+            findings = contracts.check_descriptor(descriptor, location)
+        return (contracts.check_source_xml(text, location), descriptor,
+                findings)
+
+    def _lint_unit(self, unit, families):
+        # Local import: the engine imports this module at load time.
+        from repro.lint.engine import lint_unit_entries
+        contract = "contract" in families
+        diagnostics = []
+        entries = []
+        descriptor_findings = []
+        for pair in unit:
+            raw, descriptor, findings = self._lookup(
+                pair, self._check_source, pair)
+            if contract:
+                diagnostics.extend(raw)
+            if descriptor is None:
+                diagnostics.extend(findings)
+                continue
+            entries.append((descriptor, pair[0]))
+            if contract:
+                descriptor_findings.extend(findings)
+        diagnostics.extend(descriptor_findings)
+        diagnostics.extend(lint_unit_entries(entries, families))
+        return diagnostics
 
 
 def _parse_descriptor(text):
@@ -232,13 +328,6 @@ def _parse_descriptor(text):
         return ComponentDescriptor.from_xml(text), None
     except DRComError as error:
         return None, str(error)
-
-
-def _lint_unit(key):
-    # Local import: the engine imports this module at load time.
-    from repro.lint.engine import lint_descriptor_texts
-    families, unit = key
-    return lint_descriptor_texts(unit, families)
 
 
 def _parse_link(data, where, problems):
@@ -276,10 +365,10 @@ def _parse_nodes(document, plan, default_cap, problems):
         if not isinstance(data, dict):
             problems.append("%s must be an object" % where)
             continue
-        unknown = sorted(set(data) - _NODE_KEYS)
+        unknown = data.keys() - _NODE_KEYS
         if unknown:
             problems.append("%s has unknown field(s): %s"
-                            % (where, ", ".join(unknown)))
+                            % (where, ", ".join(sorted(unknown))))
         name = data.get("name")
         if not isinstance(name, str) or not name:
             problems.append("%s needs a non-empty 'name'" % where)
@@ -333,6 +422,7 @@ def _parse_deployments(document, plan, base_dir, problems, parse):
         problems.append("'deployments' must be a list")
         return
     homes = {}
+    by_node = plan._by_node
     for index, data in enumerate(deployments):
         where = "deployments[%d]" % index
         if not isinstance(data, dict):
@@ -347,6 +437,7 @@ def _parse_deployments(document, plan, base_dir, problems, parse):
         if not isinstance(components, list):
             problems.append("%s needs a 'components' list" % where)
             continue
+        members = by_node.setdefault(node_name, [])
         for cindex, source in enumerate(components):
             if isinstance(source, str):
                 read = _read_source(source, base_dir, plan.location,
@@ -380,8 +471,15 @@ def _parse_deployments(document, plan, base_dir, problems, parse):
                                        node_name))
                     continue
                 homes[descriptor.name] = node_name
-            plan.components.append(PlanComponent(
-                text, comp_location, node_name, descriptor))
+            comp = PlanComponent(text, comp_location, node_name,
+                                 descriptor)
+            plan.components.append(comp)
+            members.append(comp)
+    for node_name in plan.nodes:
+        members = by_node.get(node_name)
+        if members:
+            plan.units[node_name] = tuple([
+                (comp.location, comp.xml) for comp in members])
 
 
 def _parse_applications(document, plan, problems):
@@ -508,57 +606,69 @@ def _enabled_components(plan, node_name):
             if comp.descriptor is not None and comp.descriptor.enabled]
 
 
-def _check_hosting(plan):
+def _check_hosting(plan, cache=None):
     """DRT601: every node must fit its own components.
 
     Replays the node's admission statically: pinned components
     (``drcom.placement=pinned``) claim their declared CPU, everything
     else is best-fit re-pinned exactly like
     :class:`~repro.core.placement.BestFitPlacement` does at deploy
-    time, in plan order.
+    time, in plan order.  A cache memoises each node's findings.
     """
     diagnostics = []
-    for node_name, node in plan.nodes.items():
-        loads = [0.0] * node.num_cpus
-        for comp in _enabled_components(plan, node_name):
-            contract = comp.descriptor.contract
-            usage = contract.cpu_usage
-            pinned = comp.descriptor.property_value(
-                "drcom.placement") == "pinned"
-            if pinned:
-                cpu = contract.cpu
-                if cpu >= node.num_cpus:
-                    diagnostics.append(Diagnostic(
-                        "DRT601", comp.descriptor.name, comp.location,
-                        "pinned to CPU %d, but node %r declares only "
-                        "%d CPU(s)" % (cpu, node_name, node.num_cpus)))
-                    continue
-                if loads[cpu] + usage > node.cap + _EPSILON:
-                    diagnostics.append(Diagnostic(
-                        "DRT601", comp.descriptor.name, comp.location,
-                        "pinned claim %.3f does not fit CPU %d of "
-                        "node %r (load already %.3f, cap %.2f)"
-                        % (usage, cpu, node_name, loads[cpu],
-                           node.cap)))
-                    continue
-                loads[cpu] += usage
-                continue
-            best = None
-            for cpu in range(node.num_cpus):
-                if loads[cpu] + usage > node.cap + _EPSILON:
-                    continue
-                if best is None or loads[cpu] < loads[best]:
-                    best = cpu
-            if best is None:
+    for node_name, unit in plan.units.items():
+        node = plan.nodes[node_name]
+        if cache is None:
+            diagnostics.extend(_node_hosting(plan, node_name, node))
+        else:
+            diagnostics.extend(cache.node_diagnostics(
+                ("DRT601", node_name, node.num_cpus, node.cap, unit),
+                _node_hosting, plan, node_name, node))
+    return diagnostics
+
+
+def _node_hosting(plan, node_name, node):
+    diagnostics = []
+    loads = [0.0] * node.num_cpus
+    for comp in _enabled_components(plan, node_name):
+        contract = comp.descriptor.contract
+        usage = contract.cpu_usage
+        pinned = comp.descriptor.property_value(
+            "drcom.placement") == "pinned"
+        if pinned:
+            cpu = contract.cpu
+            if cpu >= node.num_cpus:
                 diagnostics.append(Diagnostic(
                     "DRT601", comp.descriptor.name, comp.location,
-                    "node %r cannot place %s (claim %.3f): per-CPU "
-                    "loads are %s at cap %.2f; admission on this "
-                    "node would reject it"
-                    % (node_name, comp.descriptor.name, usage,
-                       ["%.3f" % load for load in loads], node.cap)))
-            else:
-                loads[best] += usage
+                    "pinned to CPU %d, but node %r declares only "
+                    "%d CPU(s)" % (cpu, node_name, node.num_cpus)))
+                continue
+            if loads[cpu] + usage > node.cap + _EPSILON:
+                diagnostics.append(Diagnostic(
+                    "DRT601", comp.descriptor.name, comp.location,
+                    "pinned claim %.3f does not fit CPU %d of "
+                    "node %r (load already %.3f, cap %.2f)"
+                    % (usage, cpu, node_name, loads[cpu],
+                       node.cap)))
+                continue
+            loads[cpu] += usage
+            continue
+        best = None
+        for cpu in range(node.num_cpus):
+            if loads[cpu] + usage > node.cap + _EPSILON:
+                continue
+            if best is None or loads[cpu] < loads[best]:
+                best = cpu
+        if best is None:
+            diagnostics.append(Diagnostic(
+                "DRT601", comp.descriptor.name, comp.location,
+                "node %r cannot place %s (claim %.3f): per-CPU "
+                "loads are %s at cap %.2f; admission on this "
+                "node would reject it"
+                % (node_name, comp.descriptor.name, usage,
+                   ["%.3f" % load for load in loads], node.cap)))
+        else:
+            loads[best] += usage
     return diagnostics
 
 
@@ -596,7 +706,7 @@ def _group_components(members, applications):
     return list(groups.values()) + singles
 
 
-def _check_failover_capacity(plan):
+def _check_failover_capacity(plan, shortcut=False):
     """DRT602: simulate each node's loss; survivors must absorb it.
 
     Greedy group placement under ``choose_node_for_group`` semantics:
@@ -604,30 +714,51 @@ def _check_failover_capacity(plan):
     that fits takes the group, and earlier groups' budget counts
     against later ones (``extra_node_load``).  N-1 analysis needs at
     least two nodes; single-node plans are skipped.
+
+    With ``shortcut``, a loss is not replayed when every survivor's
+    headroom (capacity minus its own load) covers the lost node's
+    whole load with :data:`_SHORTCUT_MARGIN` to spare.  No group order
+    can then strand anything: a group claims at most that load, and the
+    groups placed before it add at most the rest of it to any survivor.
+    Every other loss is replayed, so the replay stays the only source
+    of DRT602; the cache-free path replays every loss and is the
+    reference the shortcut is tested against.
     """
     if len(plan.nodes) < 2:
         return []
     diagnostics = []
+    enabled = {name: _enabled_components(plan, name)
+               for name in plan.nodes}
     base_load = {
-        name: sum(comp.descriptor.contract.cpu_usage
-                  for comp in _enabled_components(plan, name))
-        for name in plan.nodes
+        name: sum([comp.descriptor.contract.cpu_usage
+                   for comp in members])
+        for name, members in enabled.items()
     }
-    for dead in plan.nodes:
-        members = _enabled_components(plan, dead)
+    capacity = {name: node.capacity for name, node in plan.nodes.items()}
+    if shortcut:
+        # The two tightest nodes: a loss's tightest survivor is the
+        # first, or the second when the lost node is the first.
+        (tightest, first), (runner_up, _) = heapq.nsmallest(
+            2, [(capacity[name] - base_load[name], name)
+                for name in plan.nodes])
+    for dead, members in enabled.items():
         if not members:
             continue
+        if shortcut:
+            spare = runner_up if dead == first else tightest
+            if spare >= base_load[dead] + _SHORTCUT_MARGIN:
+                continue
         extra = {}
         for group in _group_components(members, plan.applications):
             total = sum(comp.descriptor.contract.cpu_usage
                         for comp in group)
             best = None
             best_load = None
-            for survivor, node in plan.nodes.items():
+            for survivor in plan.nodes:
                 if survivor == dead:
                     continue
                 load = base_load[survivor] + extra.get(survivor, 0.0)
-                if load + total > node.capacity + _EPSILON:
+                if load + total > capacity[survivor] + _EPSILON:
                     continue
                 if best_load is None or load < best_load:
                     best = survivor
@@ -636,8 +767,7 @@ def _check_failover_capacity(plan):
                 names = ", ".join(sorted(comp.descriptor.name
                                          for comp in group))
                 headroom = max(
-                    (plan.nodes[s].capacity - base_load[s]
-                     - extra.get(s, 0.0)
+                    (capacity[s] - base_load[s] - extra.get(s, 0.0)
                      for s in plan.nodes if s != dead),
                     default=0.0)
                 diagnostics.append(Diagnostic(
@@ -673,15 +803,18 @@ def _check_cross_node_wiring(plan):
     for comp in plan.components:
         if comp.descriptor is None or not comp.descriptor.enabled:
             continue
-        for port in comp.descriptor.outports:
-            providers.setdefault(port.signature(), []).append(
-                (comp.node, comp.descriptor.name))
+        for port in comp.descriptor.ports:
+            if port.direction is PortDirection.OUT:
+                providers.setdefault(port.signature(), []).append(
+                    (comp.node, comp.descriptor.name))
     for comp in plan.components:
         if comp.descriptor is None or not comp.descriptor.enabled:
             continue
         if comp.descriptor.name in flagged_members:
             continue  # the split application already covers it
-        for port in comp.descriptor.inports:
+        for port in comp.descriptor.ports:
+            if port.direction is not PortDirection.IN:
+                continue
             supply = providers.get(port.signature())
             if not supply:
                 continue  # no provider anywhere: DRT201 per node
@@ -697,7 +830,7 @@ def _check_cross_node_wiring(plan):
     return diagnostics
 
 
-def _check_management_latency(plan):
+def _check_management_latency(plan, cache=None):
     """DRT604: coordinator-to-component command paths vs deadlines.
 
     A §2.4 management command rides the ``control -> node`` link and
@@ -705,38 +838,51 @@ def _check_management_latency(plan):
     link latency (latency + jitter) plus the component's exact
     response time already exceeds its deadline, no command can land
     within one deadline window.  Components whose response time
-    analysis diverges are DRT302's finding, not repeated here.
+    analysis diverges are DRT302's finding, not repeated here.  A
+    cache memoises each node's findings.
     """
     diagnostics = []
-    for node_name in plan.nodes:
+    for node_name, unit in plan.units.items():
         link = plan.link_for(COORDINATOR, node_name)
         wire_ns = link.latency_ns + link.jitter_ns
-        by_cpu = {}
-        for comp in _enabled_components(plan, node_name):
-            if not comp.descriptor.contract.is_rate_bound:
+        if cache is None:
+            diagnostics.extend(_node_management_latency(
+                plan, node_name, wire_ns))
+        else:
+            diagnostics.extend(cache.node_diagnostics(
+                ("DRT604", node_name, wire_ns, unit),
+                _node_management_latency, plan, node_name, wire_ns))
+    return diagnostics
+
+
+def _node_management_latency(plan, node_name, wire_ns):
+    diagnostics = []
+    by_cpu = {}
+    for comp in _enabled_components(plan, node_name):
+        if not comp.descriptor.contract.is_rate_bound:
+            continue
+        by_cpu.setdefault(comp.descriptor.contract.cpu,
+                          []).append(comp)
+    for cpu, members in sorted(by_cpu.items()):
+        pairs = [(comp, TaskSpec.from_contract(
+            comp.descriptor.contract)) for comp in members]
+        for comp, spec in pairs:
+            interfering = [other for _, other in pairs
+                           if other is not spec
+                           and other.priority <= spec.priority]
+            response = response_time(spec, interfering)
+            if response is None:
                 continue
-            by_cpu.setdefault(comp.descriptor.contract.cpu,
-                              []).append(comp)
-        for cpu, members in sorted(by_cpu.items()):
-            pairs = [(comp, TaskSpec.from_contract(
-                comp.descriptor.contract)) for comp in members]
-            for comp, spec in pairs:
-                interfering = [other for _, other in pairs
-                               if other is not spec
-                               and other.priority <= spec.priority]
-                response = response_time(spec, interfering)
-                if response is None:
-                    continue
-                if wire_ns + response > spec.deadline_ns:
-                    diagnostics.append(Diagnostic(
-                        "DRT604", comp.descriptor.name, comp.location,
-                        "a management command from %r reaches %s no "
-                        "earlier than %.3f ms (link worst case %.3f "
-                        "ms + response %.3f ms), past its %.3f ms "
-                        "deadline"
-                        % (COORDINATOR, comp.descriptor.name,
-                           (wire_ns + response) / 1e6, wire_ns / 1e6,
-                           response / 1e6, spec.deadline_ns / 1e6)))
+            if wire_ns + response > spec.deadline_ns:
+                diagnostics.append(Diagnostic(
+                    "DRT604", comp.descriptor.name, comp.location,
+                    "a management command from %r reaches %s no "
+                    "earlier than %.3f ms (link worst case %.3f "
+                    "ms + response %.3f ms), past its %.3f ms "
+                    "deadline"
+                    % (COORDINATOR, comp.descriptor.name,
+                       (wire_ns + response) / 1e6, wire_ns / 1e6,
+                       response / 1e6, spec.deadline_ns / 1e6)))
     return diagnostics
 
 
@@ -814,13 +960,19 @@ def _check_rules_against_topology(plan):
     return diagnostics
 
 
-def check_plan(plan):
-    """All topology-level DRT60x diagnostics for a parsed plan."""
+def check_plan(plan, cache=None):
+    """All topology-level DRT60x diagnostics for a parsed plan.
+
+    With a :class:`PlanLintCache`, DRT601 and DRT604 are memoised per
+    node and DRT602 skips the losses its headroom shortcut clears; the
+    diagnostics are the same with or without it.
+    """
     diagnostics = []
-    diagnostics.extend(_check_hosting(plan))
-    diagnostics.extend(_check_failover_capacity(plan))
+    diagnostics.extend(_check_hosting(plan, cache))
+    diagnostics.extend(_check_failover_capacity(
+        plan, shortcut=cache is not None))
     diagnostics.extend(_check_cross_node_wiring(plan))
-    diagnostics.extend(_check_management_latency(plan))
+    diagnostics.extend(_check_management_latency(plan, cache))
     diagnostics.extend(_check_rules_against_topology(plan))
     return diagnostics
 
@@ -836,9 +988,11 @@ def lint_plan_document(document, location="<plan>", families=None,
     unit, every node with components is one more (its descriptor set
     runs the contract/wiring/admission families), and every rule
     source another (DRT5xx).  ``families`` follows the engine's
-    convention (None = all).  With a :class:`PlanLintCache`, node
-    units and descriptors seen before are not linted or parsed again;
-    the topology checks always run on the whole plan.
+    convention (None = all).  With a :class:`PlanLintCache`,
+    descriptors, sources, node units and per-node DRT601/DRT604
+    findings seen before are not parsed or checked again, and DRT602
+    replays only the losses its headroom shortcut cannot clear
+    (:func:`check_plan`); the diagnostics are the same as without it.
     """
     # Local import: the engine imports this module at load time.
     from repro.lint.engine import FAMILIES, lint_descriptor_texts
@@ -857,11 +1011,7 @@ def lint_plan_document(document, location="<plan>", families=None,
                                           problem))
     node_families = tuple(f for f in families
                           if f in ("contract", "wiring", "admission"))
-    for node_name in plan.nodes:
-        unit = [(comp.location, comp.xml)
-                for comp in plan.components_of(node_name)]
-        if not unit:
-            continue
+    for unit in plan.units.values():
         units += 1
         sources += len(unit)
         if node_families:
@@ -875,7 +1025,7 @@ def lint_plan_document(document, location="<plan>", families=None,
                 diagnostics.extend(adaptrules.check_rule_source(
                     rule_text, rule_location))
     if "deployment" in families:
-        diagnostics.extend(check_plan(plan))
+        diagnostics.extend(check_plan(plan, cache))
     return diagnostics, units, sources
 
 

@@ -201,6 +201,16 @@ def lint_descriptor_entries(entries, families=FAMILIES):
         for descriptor, location in entries:
             diagnostics.extend(
                 contracts.check_descriptor(descriptor, location))
+    diagnostics.extend(lint_unit_entries(entries, families))
+    return diagnostics
+
+
+def lint_unit_entries(entries, families=FAMILIES):
+    """The checks of :func:`lint_descriptor_entries` that read the
+    whole unit (names, wiring, admission, stochastic) rather than one
+    descriptor at a time."""
+    diagnostics = []
+    if "contract" in families:
         diagnostics.extend(contracts.check_deployment_names(entries))
     if "wiring" in families:
         diagnostics.extend(wiring.check_wiring(entries))

@@ -14,11 +14,12 @@ built twice with identical deployments:
 
 Static analysis predicting the runtime outcome is the family's whole
 claim; this test pins the agreement.  The last test pins that the
-guard's incremental lint (its ``PlanLintCache``) changes no lint and no
-verdict over a seeded run of deploys, undeploys, migrations, a crash
-and a join.
+guard's incremental lint (its ``PlanLintCache``) changes no lint, no
+verdict and no ``lint.plan_*`` counter over a seeded run of deploys,
+undeploys, migrations, a crash and a join.
 """
 
+import collections
 import random
 
 import pytest
@@ -183,9 +184,16 @@ def _reference_check(cluster, fail_on, xmls, node, application=None,
             if (d.code, d.component) not in known]
 
 
-def _checked_guard(cluster, log):
+def _count_findings(counters, findings):
+    for diagnostic in findings:
+        counters["plan_code.%s" % diagnostic.code] += 1
+
+
+def _checked_guard(cluster, log, counters):
     """Arm a guard whose every lint and every verdict is compared, as
-    it is made, with the cache-free reference on the same fleet."""
+    it is made, with the cache-free reference on the same fleet.
+    ``counters`` accumulates the ``lint.plan_*`` counts the reference
+    verdicts imply."""
     guard = cluster.install_plan_guard(fail_on="info")
     lint = guard._lint
     check_deploy = guard.check_deploy
@@ -207,6 +215,10 @@ def _checked_guard(cluster, log):
         found = check_deploy(xmls, node, application=application,
                              members=members)
         assert _as_dicts(found) == _as_dicts(expected)
+        counters["plan_checks_total"] += 1
+        if expected:
+            counters["plan_rejections_total"] += 1
+        _count_findings(counters, expected)
         log.append(("check", node, sorted({d.code for d in found})))
         return found
 
@@ -216,6 +228,8 @@ def _checked_guard(cluster, log):
                              ).at_or_above(guard.fail_on)
         found = note_failover(dead)
         assert _as_dicts(found) == _as_dicts(expected)
+        counters["plan_failover_checks_total"] += 1
+        _count_findings(counters, expected)
         log.append(("failover", dead, sorted({d.code for d in found})))
         return found
 
@@ -261,8 +275,11 @@ def test_cached_guard_verdicts_equal_cache_free_lints():
     rng = random.Random(14)
     cluster, pool = _equivalence_fleet(rng)
     log = []
+    counters = collections.Counter(plan_checks_total=0,
+                                   plan_rejections_total=0,
+                                   plan_failover_checks_total=0)
     try:
-        guard = _checked_guard(cluster, log)
+        guard = _checked_guard(cluster, log, counters)
 
         def alive():
             return sorted(node.name for node in cluster.alive_nodes())
@@ -332,5 +349,14 @@ def test_cached_guard_verdicts_equal_cache_free_lints():
         assert {"DRT103", "DRT201"} <= linted
         entries = len(cluster.nodes) + len(cluster.catalog) + len(pool)
         assert len(guard.cache) <= 4 * entries
+        # The guard's telemetry counts what the reference verdicts say.
+        registry = cluster.sim.telemetry.registry("lint")
+        recorded = {name: registry.get(name).value
+                    for name in registry.names()
+                    if name.startswith("plan_")}
+        assert recorded == dict(counters)
+        assert counters["plan_rejections_total"] >= 2
+        assert {"plan_code.DRT602", "plan_code.DRT100",
+                "plan_code.DRT600"} <= set(counters)
     finally:
         cluster.shutdown()

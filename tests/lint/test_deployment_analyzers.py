@@ -6,20 +6,25 @@ Covers the plan parser (DRT600), the per-node hosting replay
 checks (DRT605/DRT606) -- plus the acceptance loops: every
 ``generate_defective_plan`` kind trips exactly its code, the
 committed example plan is clean, and a live ``Cluster.export_plan()``
-round-trips through the linter with zero DRT6xx findings.
+round-trips through the linter with zero DRT6xx findings.  The
+incremental path (``PlanLintCache`` memo keys, the DRT602 headroom
+shortcut) is checked against the cache-free one.
 """
 
+import copy
+import itertools
 import json
 import os
+import random
 
 import pytest
 
 from repro.cluster.federation import Cluster
 from repro.core.descriptor import ComponentDescriptor, ComponentProperty
 from repro.core.ports import PortDirection, PortSpec
-from repro.lint import Severity, lint_paths, lint_plan
+from repro.lint import Severity, deployment, lint_paths, lint_plan
 from repro.lint.deployment import (
-    PLAN_SCHEMA_VERSION, PlanLintCache, lint_plan_source,
+    PLAN_SCHEMA_VERSION, PlanLintCache, check_plan, lint_plan_source,
     looks_like_plan_file, parse_plan)
 from repro.rtos.task import TaskType
 from repro.sim.rng import RandomStreams
@@ -32,13 +37,13 @@ EXAMPLE_PLAN = os.path.join(REPO, "examples", "cluster_plan.json")
 
 
 def xml(name, cpu_usage, frequency_hz=10.0, priority=10, cpu=0,
-        deadline_ns=None, ports=(), properties=()):
+        deadline_ns=None, ports=(), properties=(), enabled=True):
     return ComponentDescriptor(
         name=name, implementation="test.%s" % name,
         task_type=TaskType.PERIODIC, cpu_usage=cpu_usage,
         frequency_hz=frequency_hz, priority=priority, cpu=cpu,
         deadline_ns=deadline_ns, ports=ports,
-        properties=properties).to_xml()
+        properties=properties, enabled=enabled).to_xml()
 
 
 def pinned(name, cpu_usage, cpu=0, priority=10):
@@ -212,6 +217,132 @@ class TestFailoverCapacity:
         assert "GRP000, GRP001" in result.diagnostics[0].component
 
 
+class TestFailoverShortcut:
+    """With a cache, DRT602 skips a loss when every survivor's headroom
+    covers the lost node's whole load (plus a float margin); the
+    cache-free path replays every loss.  ``cluster_ops`` never yields
+    a DRT602, so these plans are the shortcut's coverage: on each one
+    the two paths must give the same diagnostics."""
+
+    @staticmethod
+    def both(document):
+        plan, _ = parse_plan(document)
+        exact = [d.as_dict() for d in check_plan(plan)]
+        cached = [d.as_dict() for d in check_plan(plan, PlanLintCache())]
+        return exact, cached
+
+    @staticmethod
+    def random_plan(rng, serial):
+        nodes = [{"name": "node%d" % index,
+                  "num_cpus": rng.randint(1, 4),
+                  "cap": rng.choice((0.4, 0.6, 0.75, 0.9, 1.0))}
+                 for index in range(rng.choice((1, 2, 2, 3, 4, 5)))]
+        deployments = []
+        names = []
+        for node in nodes:
+            components = []
+            for _ in range(rng.randint(0, 5)):
+                name = "SH%04d" % next(serial)
+                names.append(name)
+                components.append({"xml": xml(
+                    name, rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.8)),
+                    enabled=rng.random() > 0.15)})
+            if components:
+                deployments.append({"node": node["name"],
+                                    "components": components})
+        applications = {}
+        for index in range(rng.randint(0, 3)):
+            if len(names) >= 2:
+                # Random samples overlap, so groups merge transitively.
+                applications["app%d" % index] = rng.sample(
+                    names, min(len(names), rng.randint(2, 4)))
+        return {"plan_version": PLAN_SCHEMA_VERSION, "nodes": nodes,
+                "deployments": deployments, "applications": applications}
+
+    @staticmethod
+    def threshold_plan(delta, grouped, survivors):
+        """The lost node ``node0`` carries 0.3 + 0.25; each survivor's
+        headroom is that load plus ``delta``."""
+        lost = [0.3, 0.25]
+        load = sum(lost)
+        nodes = [{"name": "node0", "num_cpus": 2, "cap": 1.0}]
+        deployments = [{"node": "node0", "components": [
+            {"xml": xml("LOST%02d" % index, usage, priority=10 + index)}
+            for index, usage in enumerate(lost)]}]
+        for index in range(1, survivors + 1):
+            base = 0.1 * index
+            nodes.append({"name": "node%d" % index, "num_cpus": 1,
+                          "cap": base + load + delta})
+            deployments.append({"node": "node%d" % index, "components": [
+                {"xml": xml("BASE%02d" % index, base)}]})
+        document = {"plan_version": PLAN_SCHEMA_VERSION, "nodes": nodes,
+                    "deployments": deployments}
+        if grouped:
+            document["applications"] = {"lost": ["LOST00", "LOST01"]}
+        return document
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        """Counts exact replays (one group split per replayed loss)."""
+        count = [0]
+        group = deployment._group_components
+
+        def counted(members, applications):
+            count[0] += 1
+            return group(members, applications)
+
+        monkeypatch.setattr(deployment, "_group_components", counted)
+        return count
+
+    def test_random_plans_agree_with_the_exact_replay(self, replays):
+        rng = random.Random(602)
+        serial = itertools.count()
+        flagged = exact_replays = 0
+        for _ in range(300):
+            document = self.random_plan(rng, serial)
+            plan, _ = parse_plan(document)
+            before = replays[0]
+            exact = [d.as_dict() for d in check_plan(plan)]
+            exact_replays += replays[0] - before
+            cached = [d.as_dict()
+                      for d in check_plan(plan, PlanLintCache())]
+            assert cached == exact, document
+            flagged += any(d["code"] == "DRT602" for d in exact)
+        # Both branches ran: some losses strand a group, and the
+        # shortcut skipped a good share of the replays.
+        assert flagged >= 20
+        assert replays[0] - exact_replays < 0.8 * exact_replays
+
+    @pytest.mark.parametrize("survivors", [1, 2])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_loads_at_the_shortcut_threshold(self, grouped, survivors):
+        outcomes = set()
+        for delta in (-2e-9, -1e-9, -5e-10, -1e-11, 0.0, 1e-11, 5e-10,
+                      1e-9, 1.5e-9, 2e-9):
+            exact, cached = self.both(
+                self.threshold_plan(delta, grouped, survivors))
+            assert cached == exact, delta
+            outcomes.add(any(d["code"] == "DRT602" for d in exact))
+        # Below the threshold a single survivor, or one group, strands;
+        # two survivors split two single groups between them.
+        assert outcomes == ({False} if survivors == 2 and not grouped
+                            else {True, False})
+
+    def test_the_lost_node_is_no_survivor(self):
+        # node1 is the tightest node and node0 the only other one: when
+        # node0 is lost, node1 is its only survivor, whatever node0's
+        # own headroom.
+        document = plan_with()
+        document["nodes"][0]["num_cpus"] = 4
+        document["deployments"] = [
+            {"node": "node0", "components": [{"xml": xml("ROOMY0", 0.5)}]},
+            {"node": "node1", "components": [{"xml": xml("TIGHT0", 0.7)}]}]
+        exact, cached = self.both(document)
+        assert cached == exact
+        assert [d["component"] for d in exact
+                if d["code"] == "DRT602"] == ["ROOMY0"]
+
+
 class TestCrossNodeWiring:
     def wired_plan(self):
         document = plan_with()
@@ -374,7 +505,8 @@ class TestExportPlanRoundTrip:
 
 class TestPlanLintCache:
     """The cache shares parsed descriptors across plans, so it is only
-    sound if no DRT checker mutates a descriptor it reads."""
+    sound if no DRT checker mutates a descriptor it reads; and each
+    memo entry is only sound if its key holds every input it reads."""
 
     def plans(self):
         with open(EXAMPLE_PLAN, encoding="utf-8") as handle:
@@ -419,6 +551,83 @@ class TestPlanLintCache:
             # ... and left every one of them as it was.
             assert [descriptor._render_xml() for descriptor in parsed] \
                 == before, location
+
+    @staticmethod
+    def keyed_plan():
+        """Three nodes whose findings hang on every key field: node0's
+        one CPU cannot fit ROOMY1 after ROOMY0 (DRT601), and FASTCMD's
+        2 ms deadline misses its command path over the 1.8 ms control
+        link (DRT604); its seven-letter name is a per-source finding
+        (DRT103) whose location moves with it."""
+        document = plan_with(nodes=3)
+        document["links"] = [{"src": "control", "dst": "node0",
+                              "latency_ns": 1800000}]
+        document["deployments"] = [
+            {"node": "node0", "components": [
+                {"xml": xml("ROOMY0", 0.6, priority=20)},
+                {"xml": xml("ROOMY1", 0.6, priority=21)},
+                {"xml": xml("FASTCMD", 0.05, frequency_hz=100.0,
+                            priority=1, deadline_ns=2000000)}]},
+            {"node": "node1", "components": [
+                {"xml": xml("SRC000", 0.1, ports=[outport("PRT000")])}]},
+            {"node": "node2", "components": [
+                {"xml": xml("SNK000", 0.1, ports=[inport("PRT000")])}]}]
+        return document
+
+    @staticmethod
+    def set_cap(document):
+        document["nodes"][0]["cap"] = 0.55
+
+    @staticmethod
+    def set_num_cpus(document):
+        document["nodes"][0]["num_cpus"] = 2
+
+    @staticmethod
+    def fast_link(document):
+        document["links"][0]["latency_ns"] = 1000000
+
+    @staticmethod
+    def group_apps(document):
+        document["applications"] = {"pipe": ["SRC000", "SNK000"]}
+
+    @staticmethod
+    def disable(document):
+        document["deployments"][0]["components"][1] = {
+            "xml": xml("ROOMY1", 0.6, priority=21, enabled=False)}
+
+    @staticmethod
+    def move(document):
+        # Same XML, new home: its location and its control link change.
+        fast = document["deployments"][0]["components"].pop()
+        document["deployments"][1]["components"].insert(0, fast)
+
+    @pytest.mark.parametrize("change", [
+        "set_cap", "set_num_cpus", "fast_link", "group_apps", "disable",
+        "move"])
+    def test_every_key_field_is_part_of_the_key(self, change):
+        base = self.keyed_plan()
+        changed = copy.deepcopy(base)
+        getattr(self, change)(changed)
+        reference = [d.as_dict() for d in lint_plan(changed).diagnostics]
+        # The change shows in the findings, so a key that left it out
+        # would hand back the stale ones.
+        assert reference != [d.as_dict()
+                             for d in lint_plan(base).diagnostics]
+        cache = PlanLintCache()
+        lint_plan(base, cache=cache)
+        for _ in range(2):
+            result = lint_plan(changed, cache=cache)
+            assert [d.as_dict() for d in result.diagnostics] == reference
+            cache.rotate()
+
+    def test_families_are_part_of_the_unit_key(self):
+        document = self.keyed_plan()
+        cache = PlanLintCache()
+        lint_plan(document, families=("deployment", "admission"),
+                  cache=cache)
+        result = lint_plan(document, cache=cache)
+        assert [d.as_dict() for d in result.diagnostics] \
+            == [d.as_dict() for d in lint_plan(document).diagnostics]
 
     def test_rotation_bounds_the_cache(self):
         cache = PlanLintCache()
